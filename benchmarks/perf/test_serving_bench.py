@@ -51,6 +51,7 @@ def test_serving_bench(benchmark, tmp_path):
         "layers",
         "observability_overhead",
         "decode",
+        "peak_rss_mb",
         "outputs_match",
         "mismatches",
     }

@@ -51,14 +51,9 @@ Commands
     ``--escalation-threshold`` verbatim), then replay one cache-cold stream
     through student-only, cascade and teacher-only serving and record
     docs/sec, latency percentiles, panel scores and the escalation rate
-    under the report's ``cascade`` key.  ``--quantized`` switches to the
-    quantized-inference comparison: int8/float16 weights with pre-packed
-    fused kernels and the arena allocator vs the float32 reference decode,
-    task-metric deltas vs the float64 reference, and quantized serving on
-    both transports, recorded under the report's ``quantized`` key
-    (``--quant-mode`` selects int8 or float16).  ``--compare
-    PREV.json`` diffs throughput/p99 against a previous report and exits
-    nonzero past ``--regression-threshold`` (default 20%).
+    under the report's ``cascade`` key.  ``--compare PREV.json`` diffs
+    throughput/p99 against a previous report and exits nonzero past
+    ``--regression-threshold`` (default 20%).
 ``serve-many [page.html ...] [--workers N] [--transport T] [--deadline-ms B]``
     Brief many pages through the concurrent serving layer
     (:class:`~repro.core.serving.ConcurrentBriefingPipeline`): bounded
@@ -71,10 +66,7 @@ Commands
     replica) instead of threads.  ``--cascade`` serves through the
     confidence-gated student/teacher cascade (``--escalation-threshold``
     pins the threshold; omitted, it is calibrated offline against the
-    simulated human-eval panel).  ``--quantized`` serves int8 weights
-    (calibrated on the corpus); combined with ``--cascade`` only the
-    student tier is quantized and the float teacher stays the quality
-    backstop.  Prints one topic line per page plus the
+    simulated human-eval panel).  Prints one topic line per page plus the
     merged worker-pool counters.  ``--status-interval S`` prints a live
     status frame (queue depth, governor level, per-worker throughput, SLO
     burn) to stderr every S seconds while serving; ``--journal PATH``
@@ -205,15 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--escalation-threshold", type=float, default=None,
                        help="cascade escalation threshold (default: calibrate "
                             "offline against the simulated human-eval panel)")
-    bench.add_argument("--quantized", action="store_true",
-                       help="benchmark quantized inference instead: decode "
-                            "throughput of the int8/float16 packed fused kernel "
-                            "+ arena vs the float32 reference, task-metric "
-                            "deltas vs the float64 reference, and quantized "
-                            "serving on both transports, recorded under the "
-                            "report's 'quantized' key")
-    bench.add_argument("--quant-mode", choices=("int8", "float16"), default="int8",
-                       help="weight quantization mode for --quantized")
     bench.add_argument("--compare", metavar="PREV.json", default=None,
                        help="diff throughput/p99 against a previous report; "
                             "exit 1 past the regression threshold")
@@ -248,14 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--escalation-threshold", type=float, default=None,
                        help="cascade escalation threshold (default: calibrate "
                             "offline against the simulated human-eval panel)")
-    serve.add_argument("--quantized", action="store_true",
-                       help="serve int8 weights: quantize the model (with "
-                            "activation-range calibration over the corpus) "
-                            "before serving; with --cascade only the student "
-                            "tier is quantized, the float teacher stays the "
-                            "quality backstop")
-    serve.add_argument("--quant-mode", choices=("int8", "float16"), default="int8",
-                       help="weight quantization mode for --quantized")
     serve.add_argument("--model", help="checkpoint saved by `repro train`")
     serve.add_argument("--topics", type=int, default=3)
     serve.add_argument("--epochs", type=int, default=10)
@@ -381,31 +356,6 @@ def _build_cascade(teacher, vocabulary, corpus, seed: int, threshold: Optional[f
             file=sys.stderr,
         )
     return cascade
-
-
-def _quantize_for_serving(model, corpus, mode: str, cascade: bool):
-    """Quantize ``model`` for serving, calibrated on the corpus documents.
-
-    Plain serving quantizes the whole model.  Cascade serving quantizes
-    only the student tier — that is where the latency budget lives; the
-    float teacher stays the quality backstop the cascade escalates to.
-    """
-    from . import nn
-
-    target = model.student if cascade else model
-    documents = list(corpus.documents)[:8]
-    calibration = nn.calibrate(
-        target,
-        lambda: target.predict_batch(documents, beam_size=2, batch_size=8),
-    )
-    quantized = target.quantize(mode=mode, calibration=calibration)
-    if cascade:
-        model.student = quantized
-        print(f"quantized cascade student ({mode}); teacher stays float",
-              file=sys.stderr)
-        return model
-    print(f"quantized serving model ({mode})", file=sys.stderr)
-    return quantized
 
 
 def _train(model, corpus, epochs: int, seed: int, tracer=None, registry=None) -> None:
@@ -583,38 +533,6 @@ def _command_bench(args) -> int:
 
     tracer, registry = _make_obs(args)
     num_pages = min(args.pages, 12) if args.smoke else args.pages
-    if args.quantized:
-        from .core import run_quantized_bench
-
-        transports = (
-            ("thread", "process")
-            if args.transport in (None, "both")
-            else (args.transport,)
-        )
-        result = run_quantized_bench(
-            num_pages=num_pages,
-            seed=args.seed,
-            mode=args.quant_mode,
-            workers=args.workers,
-            max_batch=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            transports=transports,
-            output_path=args.output or None,
-            mp_context=args.mp_context,
-        )
-        print(result.format())
-        if args.output:
-            print(f"\nwrote {args.output}")
-        _write_obs(args, tracer, registry)
-        compare_rc = _compare_bench_reports(args)
-        # The smoke gate is quality + determinism only: tolerance vs the
-        # float64 reference and identical briefs across transports.  The
-        # >=1.5x decode speedup is a property of the committed full-scale
-        # report, not of noisy CI boxes.
-        ok = result.within_tolerance and result.outputs_match
-        if args.smoke:
-            print(f"smoke: {'ok' if ok else 'FAILED'}")
-        return 0 if ok and not compare_rc else 1
     if args.cascade:
         from .core import run_cascade_bench
 
@@ -769,8 +687,6 @@ def _command_serve_many(args) -> int:
         model = _build_cascade(
             model, vocabulary, corpus, args.seed, args.escalation_threshold
         )
-    if getattr(args, "quantized", False):
-        model = _quantize_for_serving(model, corpus, args.quant_mode, cascade=args.cascade)
 
     if args.html_files:
         pages = []

@@ -60,7 +60,7 @@ import os
 import threading
 import time
 import warnings
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..obs import (
     NOOP_REGISTRY,
@@ -74,7 +74,7 @@ from ..obs import (
 )
 from ..runtime.chaos import WorkerDeath
 from ..runtime.stats import RuntimeStats
-from .batched import BatchedBriefingPipeline, _copy_brief, content_hash
+from .batched import _copy_brief, content_hash
 from .briefing import Degradation, PartialBrief
 from .cascade import _CANONICAL_REASONS, make_batched_pipeline
 from .pipeline import _reason
@@ -106,7 +106,9 @@ def _stats_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int
     return {name: after[name] - before.get(name, 0) for name in after if after[name] != before.get(name, 0)}
 
 
-def _process_worker_main(conn, snapshot: ModelSnapshot, config: dict) -> None:
+def _process_worker_main(
+    conn, snapshot: ModelSnapshot, config: dict, inherited: Sequence = ()
+) -> None:
     """One worker process: restore the snapshot once, serve batches forever.
 
     Top-level (not a closure) so ``spawn``/``forkserver`` contexts can
@@ -118,7 +120,15 @@ def _process_worker_main(conn, snapshot: ModelSnapshot, config: dict) -> None:
     the pool) and metrics registry, and attaches the increment since its
     last reply to every ``done`` message; a ``("flush",)`` probe collects
     the same increment from an idle child.
+
+    ``inherited`` holds the parent-side pipe ends a ``fork`` child inherits:
+    its own worker's and those of every worker forked before it.  The child
+    closes them first, so that when the parent dies (even by SIGKILL) no
+    process holds a writer on this worker's pipe and ``recv`` sees EOF;
+    otherwise the child would keep its own pipe open and linger forever.
     """
+    for parent_end in inherited:
+        parent_end.close()
     try:
         model, dtype = snapshot.restore()
         tracer = NOOP_TRACER
@@ -369,9 +379,9 @@ class ProcessWorkerPool(WorkerTransport):
         ]
         self._lock = threading.Lock()
         self._retired: List[_ProcessWorker] = []
-        self._workers: List[_ProcessWorker] = [
-            self._make_worker(index, 0) for index in range(num_workers)
-        ]
+        self._workers: List[_ProcessWorker] = []
+        for index in range(num_workers):
+            self._workers.append(self._make_worker(index, 0))
 
     # -- spawning ------------------------------------------------------
     def _make_worker(self, index: int, generation: int) -> _ProcessWorker:
@@ -390,9 +400,17 @@ class ProcessWorkerPool(WorkerTransport):
             "index": index,
             "generation": generation,
         }
+        # A forked child inherits every parent-side pipe end open in this
+        # process; hand it this pool's, its own included, to close.  Spawned
+        # children inherit nothing (and pickling a Connection would dup it).
+        inherited = ()
+        if self.start_method == "fork":
+            inherited = tuple(
+                w.conn for w in self._workers + self._retired if w.conn is not None
+            ) + (parent_conn,)
         process = self._ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, self._snapshot, config),
+            args=(child_conn, self._snapshot, config, inherited),
             name=f"brief-proc-{index}-g{generation}",
             daemon=True,
         )

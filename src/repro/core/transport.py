@@ -167,15 +167,6 @@ class ModelSnapshot:
         #: whether the snapshot wraps a tiered CascadeModel — lets the front
         #: door pick cascade serving without unpickling the blob.
         self.is_cascade = isinstance(model, CascadeModel)
-        #: quantization provenance ("int8" / "float16" / None), readable
-        #: without unpickling the blob.  For a cascade, the student tier's
-        #: mode — that is the tier quantization targets (the float teacher
-        #: stays the quality backstop).
-        quantized_mode = getattr(model, "_quantized_mode", None)
-        if quantized_mode is None and self.is_cascade:
-            quantized_mode = getattr(model.student, "_quantized_mode", None)
-        self.quantized_mode = quantized_mode
-        self.is_quantized = quantized_mode is not None
 
     @property
     def num_bytes(self) -> int:

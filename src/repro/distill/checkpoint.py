@@ -56,27 +56,6 @@ class StudentCheckpoint:
             raise TypeError(f"blob does not hold a {cls.__name__}")
         return checkpoint
 
-    def quantize(
-        self, mode: str = "int8", calibration=None, error_budget: float = 0.5
-    ) -> "StudentCheckpoint":
-        """A new checkpoint holding the quantized student.
-
-        The distilled student is the tier quantization targets in a serving
-        cascade (the float teacher stays the quality backstop), so the
-        freeze step is where the int8/float16 snapshot is minted: the
-        original checkpoint keeps the float student as the executable
-        reference, and the returned checkpoint's metadata records the
-        ``"quantized"`` mode alongside the inherited provenance.
-        ``calibration`` accepts per-layer activation ranges from
-        :func:`repro.nn.quant.record_activation_ranges`.
-        """
-        quantized = self.model.quantize(
-            mode=mode, calibration=calibration, error_budget=error_budget
-        )
-        metadata = dict(self.metadata)
-        metadata["quantized"] = mode
-        return StudentCheckpoint(quantized, metadata=metadata)
-
     def to_snapshot(self, dtype=None):
         """A :class:`~repro.core.transport.ModelSnapshot` of the frozen model.
 

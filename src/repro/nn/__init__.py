@@ -6,20 +6,11 @@ identification/understanding distillation losses), optimisers with the
 paper's warm-up schedule, and beam search.
 """
 
-from .arena import (
-    Arena,
-    arena_counters,
-    current_arena,
-    reset_arena_counters,
-    scratch,
-    use_arena,
-)
 from .attention import BilinearAttention, MultiHeadSelfAttention, attend, masked_softmax
 from .beam import (
     BeamHypothesis,
     batched_beam_search,
     batched_beam_search_many,
-    batched_beam_search_many_fast,
     beam_search,
     gather_beam_state,
     greedy_decode,
@@ -34,16 +25,6 @@ from .losses import (
 )
 from .module import Module, ModuleList, Parameter
 from .optim import SGD, Adam, LinearWarmupSchedule, clip_grad_norm, clip_grad_value
-from .quant import (
-    QuantizedDense,
-    QuantizedEmbedding,
-    QuantizedLSTMCell,
-    calibrate,
-    dequantize_array,
-    quantize_array,
-    quantize_module,
-    record_activation_ranges,
-)
 from .rnn import BiLSTM, LSTM, LSTMCell
 from .tensor import (
     Tensor,
@@ -107,21 +88,6 @@ __all__ = [
     "beam_search",
     "batched_beam_search",
     "batched_beam_search_many",
-    "batched_beam_search_many_fast",
     "gather_beam_state",
     "greedy_decode",
-    "Arena",
-    "use_arena",
-    "current_arena",
-    "scratch",
-    "arena_counters",
-    "reset_arena_counters",
-    "QuantizedDense",
-    "QuantizedEmbedding",
-    "QuantizedLSTMCell",
-    "quantize_array",
-    "dequantize_array",
-    "quantize_module",
-    "record_activation_ranges",
-    "calibrate",
 ]

@@ -22,11 +22,10 @@ Two implementations share the ranking semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .arena import current_arena
 from .tensor import Tensor
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "beam_search",
     "batched_beam_search",
     "batched_beam_search_many",
-    "batched_beam_search_many_fast",
     "gather_beam_state",
     "greedy_decode",
 ]
@@ -57,18 +55,6 @@ def gather_beam_state(state, indices: np.ndarray):
     (including integer routing arrays such as per-beam page indices),
     :class:`~repro.nn.tensor.Tensor` values, and nested tuples/lists thereof.
     """
-    arena = current_arena()
-    if arena is not None:
-        # Gather every ndarray leaf into a ring buffer: ``np.take`` with
-        # ``out=`` produces exactly ``state[indices]``.  Every source leaf
-        # and every already-issued target rides in ``avoid`` — two leaves
-        # often share one (shape, dtype) key (the decoder's h and c).
-        avoid: List[np.ndarray] = _ndarray_leaves(state, [])
-        return _gather_into_arena(state, indices, arena, avoid)
-    return _gather_copy(state, indices)
-
-
-def _gather_copy(state, indices: np.ndarray):
     if state is None:
         return None
     if isinstance(state, Tensor):
@@ -76,36 +62,7 @@ def _gather_copy(state, indices: np.ndarray):
     if isinstance(state, np.ndarray):
         return state[indices]
     if isinstance(state, (tuple, list)):
-        return type(state)(_gather_copy(part, indices) for part in state)
-    raise TypeError(
-        f"cannot gather beam state of type {type(state).__name__}; use numpy "
-        "arrays, Tensors, None, or nested tuples/lists of those"
-    )
-
-
-def _ndarray_leaves(state, found: "List[np.ndarray]") -> "List[np.ndarray]":
-    if isinstance(state, np.ndarray):
-        found.append(state)
-    elif isinstance(state, Tensor):
-        found.append(state.data)
-    elif isinstance(state, (tuple, list)):
-        for part in state:
-            _ndarray_leaves(part, found)
-    return found
-
-
-def _gather_into_arena(state, indices: np.ndarray, arena, avoid: "List[np.ndarray]"):
-    if state is None:
-        return None
-    if isinstance(state, Tensor):
-        return Tensor(state.data[indices])
-    if isinstance(state, np.ndarray):
-        target = arena.get((len(indices),) + state.shape[1:], state.dtype, avoid=avoid)
-        np.take(state, indices, axis=0, out=target)
-        avoid.append(target)
-        return target
-    if isinstance(state, (tuple, list)):
-        return type(state)(_gather_into_arena(part, indices, arena, avoid) for part in state)
+        return type(state)(gather_beam_state(part, indices) for part in state)
     raise TypeError(
         f"cannot gather beam state of type {type(state).__name__}; use numpy "
         "arrays, Tensors, None, or nested tuples/lists of those"
@@ -238,19 +195,8 @@ def batched_beam_search_many(
             [tokens[-1] for g in alive for tokens in live_tokens[g]], dtype=np.int64
         )
         log_probs, new_state = step_fn(last, state)
-        arena = current_arena()
-        if (
-            arena is not None
-            and isinstance(log_probs, np.ndarray)
-            and log_probs.dtype != np.float64
-        ):
-            # Ranking runs in float64 regardless of the decode dtype; the
-            # upcast goes through a ring buffer instead of a fresh array.
-            converted = arena.get(log_probs.shape, np.float64, avoid=(log_probs,))
-            converted[...] = log_probs
-            log_probs = converted
-        else:
-            log_probs = np.asarray(log_probs, dtype=np.float64)
+        # Ranking runs in float64 regardless of the decode dtype.
+        log_probs = np.asarray(log_probs, dtype=np.float64)
         if log_probs.ndim != 2 or log_probs.shape[0] != last.shape[0]:
             raise ValueError(
                 f"batched step_fn must return (N, V) log-probs for N={last.shape[0]} "
@@ -308,135 +254,6 @@ def batched_beam_search_many(
         hypotheses.extend(  # unfinished hypotheses still count at max depth
             BeamHypothesis(score=score, tokens=tokens)
             for tokens, score in zip(live_tokens[g], live_scores[g])
-        )
-        hypotheses.sort(key=lambda h: h.normalized_score(length_penalty), reverse=True)
-        results.append(hypotheses)
-    return results
-
-
-def batched_beam_search_many_fast(
-    step_fn: BatchStepFn,
-    initial_state: object,
-    start_id: int,
-    end_id: int,
-    num_sequences: int,
-    beam_size: int = 8,
-    max_depth: int = 4,
-    length_penalty: float = 0.0,
-) -> List[List[BeamHypothesis]]:
-    """Array-native beam host for the quantized decode fast path.
-
-    Same contract as :func:`batched_beam_search_many`, with the per-sequence
-    Python selection loop replaced by array code: hypothesis prefixes live in
-    one ``(N, depth)`` token matrix, and the per-depth candidate ranking is
-    one stable argsort over a ``(alive, max_beams·k)`` padded score block
-    instead of one small argsort per sequence.  Selection runs on the same
-    exact float64 accumulated scores with the same top-k and tie order as
-    the reference host, so given identical log-probabilities it picks the
-    same hypotheses; the reference host remains the executable spec.
-
-    Hypothesis rows stay grouped by sequence in ascending order — the
-    invariant the fused page-blocked attention kernel relies on.
-    """
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
-    if num_sequences < 0:
-        raise ValueError("num_sequences must be >= 0")
-    if num_sequences == 0:
-        return []
-
-    tokens = np.full((num_sequences, 1), start_id, dtype=np.int64)
-    scores = np.zeros(num_sequences, dtype=np.float64)
-    seq = np.arange(num_sequences, dtype=np.intp)
-    finished: List[List[BeamHypothesis]] = [[] for _ in range(num_sequences)]
-    state = initial_state
-
-    for _ in range(max_depth):
-        n_rows = tokens.shape[0]
-        if n_rows == 0:
-            break
-        log_probs, new_state = step_fn(np.ascontiguousarray(tokens[:, -1]), state)
-        log_probs = np.asarray(log_probs)
-        if log_probs.ndim != 2 or log_probs.shape[0] != n_rows:
-            raise ValueError(
-                f"batched step_fn must return (N, V) log-probs for N={n_rows} "
-                f"hypotheses, got shape {log_probs.shape}"
-            )
-        vocab = log_probs.shape[1]
-        k = min(beam_size, vocab)
-        # Top-k sorts the step's native dtype directly (the full-width
-        # float64 upcast the reference host performs is deferred to the k
-        # selected columns — score *accumulation* stays exact float64).
-        top = np.argsort(log_probs, axis=-1)[:, ::-1][:, :k]
-        top_scores = np.take_along_axis(log_probs, top, axis=-1).astype(np.float64)
-        cand = scores[:, None] + top_scores  # (N, k)
-
-        # Sequence segmentation (rows are grouped by ascending seq id).
-        boundary = np.empty(n_rows, dtype=bool)
-        boundary[0] = True
-        np.not_equal(seq[1:], seq[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        counts = np.empty(starts.size, dtype=np.intp)
-        counts[:-1] = starts[1:]
-        counts[-1] = n_rows
-        counts -= starts
-        alive_ids = seq[starts]
-        num_alive = starts.size
-        max_beams = int(counts.max())
-        row_block = np.repeat(np.arange(num_alive, dtype=np.intp), counts)
-        row_slot = np.arange(n_rows, dtype=np.intp) - np.repeat(starts, counts)
-
-        padded = np.full((num_alive, max_beams, k), -np.inf, dtype=np.float64)
-        padded[row_block, row_slot] = cand
-        flat = padded.reshape(num_alive, max_beams * k)
-        # All live prefixes at one depth share a length, so the penalty is a
-        # global positive divisor: it cannot change the per-row ranking, and
-        # the selected raw scores below stay exact.
-        select = np.argsort(-flat, axis=-1, kind="stable")[:, :beam_size]
-        valid = select < (counts[:, None] * k)
-
-        parent_local = select // k
-        parent_global = starts[:, None] + parent_local  # (A, beam)
-        token_slot = select % k
-        sel_tokens = top[parent_global, token_slot]
-        sel_scores = cand[parent_global, token_slot]
-        sel_seq = np.broadcast_to(alive_ids[:, None], select.shape)
-
-        valid_flat = valid.reshape(-1)
-        parents = parent_global.reshape(-1)[valid_flat]
-        new_tokens = sel_tokens.reshape(-1)[valid_flat]
-        new_scores = sel_scores.reshape(-1)[valid_flat]
-        new_seq = sel_seq.reshape(-1)[valid_flat]
-
-        done = new_tokens == end_id
-        if done.any():
-            for parent, token, score, g in zip(
-                parents[done], new_tokens[done], new_scores[done], new_seq[done]
-            ):
-                finished[int(g)].append(
-                    BeamHypothesis(
-                        score=float(score),
-                        tokens=tokens[parent].tolist() + [int(token)],
-                        finished=True,
-                    )
-                )
-            live = ~done
-            parents, new_tokens = parents[live], new_tokens[live]
-            new_scores, new_seq = new_scores[live], new_seq[live]
-        tokens = tokens[parents]
-        if parents.size == 0:
-            break
-        tokens = np.concatenate([tokens, new_tokens[:, None]], axis=1)
-        scores, seq = new_scores, new_seq
-        state = gather_beam_state(new_state, parents)
-
-    results: List[List[BeamHypothesis]] = []
-    for g in range(num_sequences):
-        hypotheses = list(finished[g])
-        rows = np.flatnonzero(seq == g) if tokens.shape[0] else []
-        hypotheses.extend(  # unfinished hypotheses still count at max depth
-            BeamHypothesis(score=float(scores[row]), tokens=tokens[row].tolist())
-            for row in rows
         )
         hypotheses.sort(key=lambda h: h.normalized_score(length_penalty), reverse=True)
         results.append(hypotheses)

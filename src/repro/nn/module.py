@@ -89,18 +89,6 @@ class Module:
             param.data = param.data.astype(dtype)
         return self
 
-    def quantize(self, mode: str = "int8", calibration=None, error_budget: float = 0.5) -> "Module":
-        """A quantized deep copy of this module (int8 or float16 weights).
-
-        Delegates to :func:`repro.nn.quant.quantize_module`; ``self`` is left
-        untouched and remains the float reference.  ``calibration`` accepts
-        the per-layer activation ranges produced by
-        :func:`repro.nn.quant.record_activation_ranges`.
-        """
-        from .quant import quantize_module  # local import: quant builds on Module
-
-        return quantize_module(self, mode=mode, calibration=calibration, error_budget=error_budget)
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

@@ -92,28 +92,3 @@ class TestPickleRoundTrip:
         assert not restored.training
         assert all(p.grad is None for p in _params(restored))
 
-
-class TestQuantize:
-    def test_quantize_returns_a_new_checkpoint_with_provenance(self, distilled_student):
-        checkpoint = StudentCheckpoint(distilled_student, metadata={"distiller": "tri"})
-        quantized = checkpoint.quantize(mode="int8")
-        assert quantized is not checkpoint
-        assert quantized.metadata["quantized"] == "int8"
-        assert quantized.metadata["distiller"] == "tri"  # provenance inherited
-        assert quantized.model._quantized_mode == "int8"
-
-    def test_quantize_keeps_the_float_reference_checkpoint_intact(
-        self, distilled_student
-    ):
-        checkpoint = StudentCheckpoint(distilled_student)
-        before = {name: p.data.copy() for name, p in checkpoint.model.named_parameters()}
-        checkpoint.quantize(mode="int8")
-        assert "quantized" not in checkpoint.metadata
-        for name, param in checkpoint.model.named_parameters():
-            assert param.data.dtype == np.float64
-            assert np.array_equal(param.data, before[name]), name
-
-    def test_quantized_checkpoint_snapshot_advertises_its_mode(self, distilled_student):
-        snapshot = StudentCheckpoint(distilled_student).quantize(mode="float16").to_snapshot()
-        assert snapshot.is_quantized
-        assert snapshot.quantized_mode == "float16"

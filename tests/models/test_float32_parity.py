@@ -1,8 +1,8 @@
-"""Satellite (c): padded batched forward == scalar forward under float32.
+"""Padded batched forward == scalar forward under float32.
 
-The quantized serving path runs everything at float32, where GEMM blocking
-reorders sums with visibly larger drift than float64.  The documented
-tolerance contract (ARCHITECTURE.md, "Quantized decode"): decoded decisions
+Serving under ``--float32`` runs everything at float32, where GEMM blocking
+reorders sums with visibly larger drift than float64.  The tolerance
+contract (ARCHITECTURE.md, "Decode fast path"): decoded decisions
 — topic tokens, attribute spans, section picks — are **identical** between
 the padded batched engine and the per-document scalar loops; attribute
 confidence floats agree to 1e-5.  This is a property-style sweep: several
@@ -58,16 +58,3 @@ def test_all_three_heads_agree_batched_vs_scalar_under_float32(
                 prediction.sections, model.predict_sections(document)
             )
 
-
-def test_float32_parity_holds_for_quantized_clone(small_corpus, small_vocab):
-    """The same batched-vs-scalar contract holds after quantization — the
-    packed kernels change the weights once, not the batching semantics."""
-    clone = _build_model(small_vocab, seed=3).quantize(mode="int8")
-    docs = list(small_corpus)[:4]
-    with nn.default_dtype(np.float32):
-        batched = clone.predict_batch(docs, beam_size=2, batch_size=2)
-        for document, prediction in zip(docs, batched):
-            assert prediction.topic == clone.predict_topic(document, beam_size=2)
-            np.testing.assert_array_equal(
-                prediction.sections, clone.predict_sections(document)
-            )

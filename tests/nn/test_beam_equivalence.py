@@ -201,71 +201,6 @@ def test_batched_state_threading():
 
 
 # ----------------------------------------------------------------------
-# Array-native fast host (quantized decode path)
-# ----------------------------------------------------------------------
-def _multi_page_step(seed, num_pages, dtype=np.float64):
-    rng = np.random.default_rng(seed)
-    tables = rng.normal(size=(num_pages, VOCAB, VOCAB))
-    tables = (tables - np.log(np.exp(tables).sum(axis=2, keepdims=True))).astype(dtype)
-
-    def batch_step(tokens, state):
-        pages = state  # (N,) routing array carried as the beam state
-        return tables[pages, tokens], pages
-
-    return batch_step
-
-
-@pytest.mark.parametrize("beam_size", [1, 4, 8])
-@pytest.mark.parametrize("length_penalty", [0.0, 0.7])
-def test_fast_host_identical_to_reference_host(beam_size, length_penalty):
-    """The array-native host must reproduce the reference host exactly.
-
-    Serving swaps one for the other when a quantized model arms the fused
-    decode kernel, and briefs are compared bit-for-bit across transports —
-    so hypothesis tokens, scores and order must all match given the same
-    float64 log-probabilities.
-    """
-    for seed in (0, 3, 17):
-        step = _multi_page_step(seed, num_pages=4)
-        kwargs = dict(
-            start_id=START, end_id=END, num_sequences=4, beam_size=beam_size,
-            max_depth=5, length_penalty=length_penalty,
-        )
-        ref = nn.batched_beam_search_many(step, np.arange(4), **kwargs)
-        fast = nn.batched_beam_search_many_fast(step, np.arange(4), **kwargs)
-        for page, (ref_hyps, fast_hyps) in enumerate(zip(ref, fast)):
-            assert_identical(ref_hyps, fast_hyps, f"seed={seed} page={page}")
-
-
-def test_fast_host_tie_breaking_matches_reference():
-    tied = np.zeros(VOCAB)
-
-    def batch_step(tokens, state):
-        return np.tile(tied, (len(tokens), 1)), state
-
-    kwargs = dict(start_id=START, end_id=END, num_sequences=2, beam_size=4, max_depth=3)
-    ref = nn.batched_beam_search_many(batch_step, np.arange(2), **kwargs)
-    fast = nn.batched_beam_search_many_fast(batch_step, np.arange(2), **kwargs)
-    for ref_hyps, fast_hyps in zip(ref, fast):
-        assert_identical(ref_hyps, fast_hyps, "tied fast host")
-
-
-def test_fast_host_matches_under_arena_with_float32_steps():
-    """float32 log-probs (the quantized decode dtype) upcast to float64 for
-    ranking inside both hosts; with an arena active the upcast rides ring
-    buffers, which must not change any decision."""
-    from repro.nn.arena import Arena, use_arena
-
-    step = _multi_page_step(23, num_pages=3, dtype=np.float32)
-    kwargs = dict(start_id=START, end_id=END, num_sequences=3, beam_size=6, max_depth=4)
-    ref = nn.batched_beam_search_many(step, np.arange(3), **kwargs)
-    with use_arena(Arena()):
-        fast = nn.batched_beam_search_many_fast(step, np.arange(3), **kwargs)
-    for ref_hyps, fast_hyps in zip(ref, fast):
-        assert_identical(ref_hyps, fast_hyps, "arena float32 fast host")
-
-
-# ----------------------------------------------------------------------
 # gather_beam_state
 # ----------------------------------------------------------------------
 def test_gather_beam_state_handles_all_state_shapes():

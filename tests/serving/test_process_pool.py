@@ -1,10 +1,21 @@
 """ModelSnapshot, ConsistentHashRouter and process-transport plumbing."""
 
+import multiprocessing
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.core import (
+    BatchedBriefingPipeline,
     BriefingPipeline,
     ConcurrentBriefingPipeline,
     ConsistentHashRouter,
@@ -60,6 +71,40 @@ def test_snapshot_carries_dtype_environment(serving_model):
         assert np.dtype(nn.get_default_dtype()) == np.float32
     finally:
         nn.set_default_dtype(previous)
+
+
+def test_concurrent_serving_accepts_a_snapshot(serving_model, page_stream):
+    """The thread-transport front door takes the snapshot the CLI ships, not
+    just live models, and restoring it in-process leaves the caller's
+    process dtype override exactly as it was."""
+    pages = page_stream[:12]
+    prior = nn.get_dtype_override()
+    try:
+        nn.set_default_dtype(np.float32)
+        snapshot = ModelSnapshot(serving_model, dtype=np.float32)
+    finally:
+        nn.set_default_dtype(prior)
+    expected = BatchedBriefingPipeline(
+        serving_model, beam_size=2, batch_size=8, dtype=np.float32
+    ).brief_many(pages)
+    try:
+        server = ConcurrentBriefingPipeline(
+            snapshot, num_workers=2, beam_size=2, max_batch=8, max_queue=128
+        )
+        # restore() sets the process-wide dtype to the snapshot's float32;
+        # the front door must put the caller's override back.
+        assert nn.get_dtype_override() == prior
+        try:
+            briefs = server.brief_many(pages)
+        finally:
+            server.shutdown(timeout=30)
+    finally:
+        nn.set_default_dtype(prior)
+    assert len(briefs) == len(pages)
+    for want, got in zip(expected, briefs):
+        assert got.topic == want.topic
+        assert got.attributes == want.attributes
+        assert got.informative_sentences == want.informative_sentences
 
 
 # ----------------------------------------------------------------------
@@ -178,3 +223,71 @@ def test_start_method_is_recorded(serving_model):
         assert server.pool.start_method in ("fork", "spawn", "forkserver")
     finally:
         server.shutdown(timeout=30)
+
+
+# ----------------------------------------------------------------------
+# Orphaned workers: a SIGKILLed parent must not leave workers behind
+# ----------------------------------------------------------------------
+_ORPHAN_SERVER = """
+import pickle, sys, time
+from repro.core import ConcurrentBriefingPipeline
+with open(sys.argv[1], "rb") as handle:
+    snapshot = pickle.load(handle)
+server = ConcurrentBriefingPipeline(
+    snapshot, num_workers=int(sys.argv[2]), transport="process",
+    mp_context="fork", beam_size=2, supervise=False,
+)
+print(" ".join(str(w.process.pid) for w in server.pool.workers), flush=True)
+time.sleep(600)
+"""
+
+
+def _process_gone(pid):
+    """True once ``pid`` has exited (gone, or a zombie nobody has reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return state in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs /proc and the fork start method",
+)
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_workers_exit_when_the_parent_is_sigkilled(serving_model, tmp_path, num_workers):
+    """A forked worker closes every inherited parent-side pipe end (its own
+    and earlier workers'), so a parent killed without cleanup turns into EOF
+    on each worker's pipe and the workers exit instead of lingering."""
+    blob = tmp_path / "snapshot.pkl"
+    blob.write_bytes(pickle.dumps(ModelSnapshot(serving_model)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    server = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SERVER, str(blob), str(num_workers)],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+    pids = []
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 60)
+        assert ready, "server did not report its worker pids within 60 s"
+        pids = [int(pid) for pid in server.stdout.readline().split()]
+        assert len(pids) == num_workers
+        assert not any(_process_gone(pid) for pid in pids)
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(_process_gone(p) for p in pids):
+            time.sleep(0.05)
+        lingering = [pid for pid in pids if not _process_gone(pid)]
+        assert lingering == [], f"workers outlived their SIGKILLed parent: {lingering}"
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10)
+        server.stdout.close()
+        for pid in pids:
+            if not _process_gone(pid):
+                os.kill(pid, signal.SIGKILL)
