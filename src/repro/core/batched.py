@@ -31,7 +31,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Hashable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,9 +80,9 @@ class BriefCache:
     per-instance lock, so a cache shared by concurrent serving workers stays
     consistent: the LRU ``move_to_end``/evict pair can otherwise race an
     eviction and raise ``KeyError``, and the ``+=`` counter updates silently
-    lose increments.  For a pool under real contention, prefer
-    :class:`repro.core.serving.ShardedBriefCache`, which stripes this lock
-    across hash-picked shards.
+    lose increments.  The key is hashed *outside* the lock, so the critical
+    section is a dict lookup plus an LRU move; this one cache serves every
+    concurrent-serving front door, and ``capacity`` is one global LRU.
     """
 
     def __init__(self, capacity: int, hash_fn: Optional[Callable[[str], Hashable]] = None) -> None:
@@ -180,7 +180,7 @@ class BatchedBriefingPipeline:
             help="pages per brief_many call",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
         )
-        # Pre-built caches (e.g. the sharded, lock-striped ones shared by a
+        # Pre-built caches (e.g. the front-door ones shared by a thread
         # worker pool) take precedence over the size knobs.
         self.brief_cache = (
             brief_cache if brief_cache is not None else BriefCache(brief_cache_size, hash_fn=hash_fn)

@@ -597,7 +597,7 @@ class ConcurrencyBenchResult:
     :class:`~repro.core.serving.ConcurrentBriefingPipeline`, whose
     scheduler coalesces concurrent requests into micro-batches for
     ``predict_batch``, so ``speedup`` measures the serving layer as a
-    whole (micro-batching + sharded cache + single-flight dedup).
+    whole (micro-batching + shared brief cache + single-flight dedup).
     ``outputs_match`` compares every concurrent run (all worker counts)
     against the sequential ground truth; ``conserved`` checks
     ``cache_hits + cache_misses == num_pages`` for every run — the

@@ -13,14 +13,21 @@ Topology, per worker index::
                                           │ next_batch()
                                           ▼
             parent dispatcher thread ── pipe ── worker process
-              (deadline sweep, chaos,             (model copy +
-               stats merge, front-door            local hot caches)
-               cache fill, resolve)
+              (shared worker loop:                (model copy +
+               sweep, chaos, spans,               local hot caches)
+               governor, resolve; plus
+               stats merge, front-door
+               cache fill)
+
+The dispatcher runs the worker loop and per-batch dispatch path shared with
+the thread transport (:class:`~repro.core.transport.WorkerTransport`); this
+module supplies only the process side: spawning, the shard topology, the
+pipe exchange and killing a dead worker's process.
 
 * **Routing** — the front door consistent-hashes each page's content hash
   onto a worker shard, so repeated content always lands on the same process
   and that process's *local* brief cache stays hot behind the shared
-  :class:`~repro.core.serving.ShardedBriefCache` front tier.
+  front-door :class:`~repro.core.batched.BriefCache`.
 * **Framing** — the parent sends
   ``("serve", [(doc_id, html, remaining_s, trace)])`` and the child replies
   ``("done", briefs, stats_delta, telemetry)``; deadlines cross the boundary
@@ -60,8 +67,11 @@ import os
 import threading
 import time
 import warnings
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
+import numpy as np
+
+from ..nn.tensor import set_default_dtype
 from ..obs import (
     NOOP_REGISTRY,
     NOOP_TRACER,
@@ -73,32 +83,30 @@ from ..obs import (
     snapshot_delta,
 )
 from ..runtime.chaos import WorkerDeath
-from ..runtime.stats import RuntimeStats
 from .batched import _copy_brief, content_hash
-from .briefing import Degradation, PartialBrief
 from .cascade import _CANONICAL_REASONS, make_batched_pipeline
-from .pipeline import _reason
-from .serving import RequestScheduler, _deadline_partial, _resolve
-from .transport import ConsistentHashRouter, ModelSnapshot, WorkerTransport
+from .serving import RequestScheduler
+from .transport import (
+    ConsistentHashRouter,
+    ModelSnapshot,
+    WorkerRecord,
+    WorkerTransport,
+    _empty_brief,
+)
 
 __all__ = ["ProcessWorkerPool"]
 
 #: exit code a worker process dies with on an (injected) in-process crash.
 _DEATH_EXIT_CODE = 17
 
+#: how long a starting dispatcher waits for its worker process's "ready".
+_SPAWN_TIMEOUT = 30.0
+
 #: how long a flush probe waits for a mid-batch dispatcher before giving up.
 _FLUSH_LOCK_TIMEOUT = 0.25
 
 #: how long a flush probe waits for the child's telemetry reply.
 _FLUSH_REPLY_TIMEOUT = 2.0
-
-
-def _degraded_brief(exc: BaseException) -> PartialBrief:
-    return PartialBrief(
-        topic=[],
-        attributes=[],
-        degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-    )
 
 
 def _stats_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
@@ -112,8 +120,10 @@ def _process_worker_main(
     """One worker process: restore the snapshot once, serve batches forever.
 
     Top-level (not a closure) so ``spawn``/``forkserver`` contexts can
-    import it.  The restored pipeline owns *local* caches sized by
-    ``worker_cache_size`` — the hot tier the router's shard affinity feeds.
+    import it.  The child applies the snapshot's ``nn`` default dtype to its
+    own process before restoring, so a float32 parent gets float32 workers.
+    The restored pipeline owns *local* caches sized by ``worker_cache_size``
+    — the hot tier the router's shard affinity feeds.
 
     When ``config["observe"]`` is set the child runs a real tracer (span ids
     prefixed ``w{index}g{generation}.`` so they stay globally unique across
@@ -130,6 +140,7 @@ def _process_worker_main(
     for parent_end in inherited:
         parent_end.close()
     try:
+        set_default_dtype(np.dtype(snapshot.default_dtype))
         model, dtype = snapshot.restore()
         tracer = NOOP_TRACER
         registry = NOOP_REGISTRY
@@ -204,7 +215,7 @@ def _process_worker_main(
             except WorkerDeath:
                 raise
             except BaseException as exc:  # brief_many never raises; last resort
-                briefs = [_degraded_brief(exc) for _ in pages]
+                briefs = [_empty_brief(exc) for _ in pages]
             conn.send(
                 (
                     "done",
@@ -222,75 +233,36 @@ def _process_worker_main(
         os._exit(_DEATH_EXIT_CODE)
 
 
-class _ProcessWorker:
-    """One process-transport worker record (the supervisor's surface).
+class _ProcessWorker(WorkerRecord):
+    """One process-transport worker record.
 
-    Mirrors :class:`~repro.core.serving._Worker`: ``thread`` here is the
-    parent-side *dispatcher* thread, ``process`` the worker process itself.
-    ``alive()`` reports the *dispatcher*, not the process: the dispatcher
-    notices a dead pipe within one poll tick and exits holding the batch, so
-    by the time the supervisor sees ``alive() == False`` the batch state is
-    final — the same no-race guarantee the thread transport gets from worker
-    death being thread death.  ``heartbeat``/``current_batch``/``exited``/
-    ``handled`` have identical supervisor semantics to the thread transport.
+    ``thread`` is the parent-side *dispatcher* thread, ``process`` the worker
+    process itself.  ``alive()`` reports the *dispatcher*, not the process:
+    the dispatcher notices a dead pipe within one poll tick and exits holding
+    the batch, so by the time the supervisor sees ``alive() == False`` the
+    batch state is final — the same no-race guarantee the thread transport
+    gets from worker death being thread death.
 
     ``lock`` serialises pipe use between the dispatcher (held across one
     whole send/recv exchange) and flush probes.  ``snapshot``/``spans``
-    accumulate the child's shipped telemetry parent-side; ``tracer``/
-    ``registry`` hold the *parent-side* halves of the worker's story — the
-    per-request ``serve`` spans and the dispatch-time deadline histogram the
-    thread transport records in its worker loop.
+    accumulate the child's shipped telemetry parent-side; the inherited
+    ``tracer``/``registry`` hold the *parent-side* halves of the worker's
+    story — the per-request ``serve`` spans and the dispatch-time deadline
+    histogram.
     """
 
-    __slots__ = (
-        "index",
-        "generation",
-        "process",
-        "conn",
-        "thread",
-        "heartbeat",
-        "current_batch",
-        "exited",
-        "handled",
-        "stats",
-        "ready",
-        "lock",
-        "snapshot",
-        "spans",
-        "tracer",
-        "registry",
-        "deadline_hist",
-    )
+    __slots__ = ("process", "conn", "ready", "lock", "snapshot", "spans")
 
-    def __init__(self, index: int, generation: int = 0, *, tracer=NOOP_TRACER,
-                 registry=NOOP_REGISTRY) -> None:
-        self.index = index
-        self.generation = generation
+    def __init__(self, index: int, generation: int, observe: bool) -> None:
+        # The "d" prefix keeps dispatcher span ids disjoint from the child's
+        # "w" ids.
+        super().__init__(index, generation, observe, "d")
         self.process = None
         self.conn = None
-        self.thread: Optional[threading.Thread] = None
-        self.heartbeat: Optional[float] = None
-        self.current_batch: Optional[list] = None
-        self.exited = False
-        self.handled = False
-        self.stats = RuntimeStats()
         self.ready = False
         self.lock = threading.Lock()
         self.snapshot = MetricsSnapshot()
         self.spans: List[SpanRecord] = []
-        self.tracer = tracer
-        self.registry = registry
-        self.deadline_hist = registry.histogram(
-            "request_deadline_remaining_seconds",
-            help="remaining deadline budget sampled at worker dispatch",
-        )
-
-    @property
-    def started(self) -> bool:
-        return self.thread is not None
-
-    def alive(self) -> bool:
-        return self.thread is not None and self.thread.is_alive()
 
 
 class ProcessWorkerPool(WorkerTransport):
@@ -300,19 +272,20 @@ class ProcessWorkerPool(WorkerTransport):
     (capacity ``ceil(max_queue / num_workers)`` — a full shard raises
     :class:`~repro.runtime.errors.QueueFull` even if others have room,
     which is the price of cache affinity), a duplex pipe, a worker process
-    and a parent-side dispatcher thread that pulls micro-batches, sweeps
-    expired deadlines, runs chaos injection, forwards the batch, merges the
-    child's stats delta and telemetry, feeds complete briefs into the shared
-    front-door cache and resolves the futures.
+    and a parent-side dispatcher thread running the shared worker loop of
+    :class:`~repro.core.transport.WorkerTransport`.  What this transport adds
+    is the pipe exchange (:meth:`_brief`: forward the batch, merge the
+    child's stats delta and telemetry, feed complete briefs into the shared
+    front-door cache) and the process lifecycle: an injected or detected
+    worker death kills the child process.
 
     With ``observe=True`` the pool implements the full transport
     observability contract: ``metrics_snapshot()`` merges every child's
     shipped registry deltas with the parent-side per-worker registries and
-    stamps ``worker``/``transport``/``generation`` labels at merge time;
     ``trace_spans()`` returns the child spans (as
     :class:`~repro.obs.SpanRecord`\\ s) alongside the parent-side ``serve``
-    spans, provenance-stamped the same way.  Without it both return empty —
-    and warn, once, so the blind spot is never silent.
+    spans, provenance-stamped by the shared core.  Without it both return
+    empty — and warn, once, so the blind spot is never silent.
 
     Worker processes are spawned in the constructor — *before* any
     dispatcher or supervisor thread starts — so a ``fork`` start method
@@ -340,8 +313,6 @@ class ProcessWorkerPool(WorkerTransport):
         chaos=None,
         mp_context: Optional[str] = None,
         worker_cache_size: int = 256,
-        spawn_timeout: float = 30.0,
-        vnodes: int = 64,
         observe: bool = False,
     ) -> None:
         if num_workers < 1:
@@ -352,19 +323,14 @@ class ProcessWorkerPool(WorkerTransport):
         method = mp_context if mp_context is not None else ("fork" if "fork" in methods else methods[0])
         self.start_method = method
         self._ctx = multiprocessing.get_context(method)
-        self.clock = clock if clock is not None else time.monotonic
-        self.governor = governor
-        self.chaos = chaos
         self.front_cache = front_cache
-        self.observe = observe
         self._snapshot = snapshot
         self._hash_fn = hash_fn if hash_fn is not None else content_hash
         self._beam_size = beam_size
         self._batch_size = batch_size
         self._worker_cache_size = worker_cache_size
-        self._spawn_timeout = spawn_timeout
         self._warned_blind = False
-        self._router = ConsistentHashRouter(num_workers, vnodes=vnodes)
+        self._router = ConsistentHashRouter(num_workers)
         per_shard = max(1, -(-max_queue // num_workers))
         self.schedulers: List[RequestScheduler] = [
             RequestScheduler(
@@ -377,19 +343,11 @@ class ProcessWorkerPool(WorkerTransport):
             )
             for _ in range(num_workers)
         ]
-        self._lock = threading.Lock()
-        self._retired: List[_ProcessWorker] = []
-        self._workers: List[_ProcessWorker] = []
-        for index in range(num_workers):
-            self._workers.append(self._make_worker(index, 0))
+        super().__init__(num_workers, clock=clock, governor=governor, chaos=chaos, observe=observe)
 
     # -- spawning ------------------------------------------------------
     def _make_worker(self, index: int, generation: int) -> _ProcessWorker:
-        # The parent-side tracer owns this worker's "serve" spans; its "d"
-        # prefix keeps dispatcher span ids disjoint from the child's "w" ids.
-        tracer = Tracer(id_prefix=f"d{index}g{generation}.") if self.observe else NOOP_TRACER
-        registry = MetricsRegistry() if self.observe else NOOP_REGISTRY
-        worker = _ProcessWorker(index, generation, tracer=tracer, registry=registry)
+        worker = _ProcessWorker(index, generation, self.observe)
         parent_conn, child_conn = self._ctx.Pipe()
         config = {
             "beam_size": self._beam_size,
@@ -422,50 +380,15 @@ class ProcessWorkerPool(WorkerTransport):
         worker.process = process
         return worker
 
-    def _await_ready(self, worker: _ProcessWorker) -> None:
-        try:
-            if worker.conn.poll(self._spawn_timeout):
-                message = worker.conn.recv()
-                worker.ready = message[0] == "ready"
-        except (EOFError, OSError):
-            worker.ready = False  # boot crash — the dispatcher surfaces it
-
     def _start_worker(self, worker: _ProcessWorker) -> None:
-        self._await_ready(worker)
-        thread = threading.Thread(
-            target=self._dispatch,
-            args=(worker,),
-            name=f"brief-worker-{worker.index}-g{worker.generation}",
-            daemon=True,
-        )
-        worker.thread = thread
-        thread.start()
-
-    def start(self) -> None:
-        """Start a dispatcher per already-spawned worker process (idempotent)."""
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            if worker.thread is None:
-                self._start_worker(worker)
-
-    def restart_worker(self, worker: _ProcessWorker) -> Optional[_ProcessWorker]:
-        """Re-spawn a dead/wedged worker's process with a fresh generation.
-
-        The old process is *not* terminated here: a wedged child may still be
-        mid-batch, and killing it under its dispatcher would force a second
-        requeue of work the supervisor just re-queued.  Like a zombie thread
-        in the thread transport, it either finishes late (``_resolve`` is
-        idempotent) or lives until :meth:`reap`.
-        """
-        with self._lock:
-            if self._workers[worker.index] is not worker:
-                return None
-            replacement = self._make_worker(worker.index, worker.generation + 1)
-            self._retired.append(worker)
-            self._workers[worker.index] = replacement
-        self._start_worker(replacement)
-        return replacement
+        """Wait for the child's ``ready`` (a boot crash surfaces in the
+        dispatcher as a dead pipe), then start the dispatcher thread."""
+        try:
+            if worker.conn.poll(_SPAWN_TIMEOUT):
+                worker.ready = worker.conn.recv()[0] == "ready"
+        except (EOFError, OSError):
+            worker.ready = False
+        super()._start_worker(worker)
 
     def _kill(self, worker: _ProcessWorker) -> None:
         process = worker.process
@@ -473,20 +396,7 @@ class ProcessWorkerPool(WorkerTransport):
             process.terminate()
             process.join(timeout=2.0)
 
-    def _is_current(self, worker: _ProcessWorker) -> bool:
-        with self._lock:
-            return self._workers[worker.index] is worker
-
-    # -- transport surface ---------------------------------------------
-    @property
-    def num_workers(self) -> int:
-        return len(self._workers)
-
-    @property
-    def workers(self) -> List[_ProcessWorker]:
-        with self._lock:
-            return list(self._workers)
-
+    # -- queue topology: a scheduler shard per worker ---------------------
     @property
     def depth(self) -> int:
         return sum(scheduler.depth for scheduler in self.schedulers)
@@ -511,40 +421,9 @@ class ProcessWorkerPool(WorkerTransport):
         # the same slice of the ring (and will rebuild the same hot cache).
         self.schedulers[worker.index].requeue(requests)
 
-    def join(self, timeout: Optional[float] = None) -> List[str]:
-        """Wait for every dispatcher to exit (schedulers must be closed)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            alive = [
-                worker.thread
-                for worker in self.workers
-                if worker.thread is not None and worker.thread.is_alive()
-            ]
-            if not alive:
-                return []
-            for thread in alive:
-                if deadline is None:
-                    thread.join()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    thread.join(timeout=remaining)
-            if deadline is not None and time.monotonic() >= deadline:
-                return [thread.name for thread in alive if thread.is_alive()]
-
-    def stuck_workers(self) -> List[_ProcessWorker]:
-        return [
-            worker
-            for worker in self.workers
-            if worker.thread is not None and worker.thread.is_alive()
-        ]
-
     def reap(self) -> None:
         """Terminate every worker process still alive and release the pipes."""
-        with self._lock:
-            everyone = list(self._workers) + list(self._retired)
-        for worker in everyone:
+        for worker in self._all_workers():
             self._kill(worker)
             try:
                 worker.conn.close()
@@ -552,31 +431,8 @@ class ProcessWorkerPool(WorkerTransport):
                 pass
 
     # -- dispatch ------------------------------------------------------
-    def _dispatch(self, worker: _ProcessWorker) -> None:
-        scheduler = self.schedulers[worker.index]
-        while True:
-            worker.heartbeat = self.clock()
-            if not self._is_current(worker):
-                return  # replaced while idle; the new dispatcher owns the shard
-            batch = scheduler.next_batch()
-            if batch is None:
-                self._stop_child(worker)
-                worker.exited = True
-                return
-            worker.heartbeat = self.clock()
-            worker.current_batch = batch
-            if self._serve_remote(worker, batch):
-                worker.current_batch = None
-                continue
-            # Transport failure: the worker process died under this batch.
-            # Exit holding it, with ``exited`` unset — the exact dead-worker
-            # signature the supervisor (or the shutdown sweep) resolves.  A
-            # dispatcher already replaced after a wedge never reaches here
-            # with unhandled work: the supervisor re-queued its batch's
-            # survivors when it swapped the worker out.
-            if not self._is_current(worker):
-                worker.current_batch = None
-            return
+    def _next_batch(self, worker: _ProcessWorker) -> Optional[list]:
+        return self.schedulers[worker.index].next_batch()
 
     def _recv(self, worker: _ProcessWorker):
         while not worker.conn.poll(0.05):
@@ -598,73 +454,22 @@ class ProcessWorkerPool(WorkerTransport):
         for data in payload.get("spans") or ():
             worker.spans.append(SpanRecord(data))
 
-    def _serve_remote(self, worker: _ProcessWorker, batch: list) -> bool:
-        """Ship one batch to the worker process; False when the worker died."""
-        worker.stats.inc("batches_dispatched")
-        now = self.clock()
-        live: list = []
-        payload: list = []
-        for request in batch:
-            if request.expired(now):
-                worker.stats.inc("deadline_expirations")
-                _resolve(request.future, _deadline_partial("before dispatch"))
-            else:
-                remaining = (
-                    None if request.deadline is None else max(0.0, request.deadline - now)
-                )
-                if remaining is not None:
-                    worker.deadline_hist.observe(remaining)
-                trace = getattr(request, "trace", None)
-                live.append(request)
-                payload.append(
-                    (
-                        request.doc_id,
-                        request.html,
-                        remaining,
-                        None if trace is None else tuple(trace),
-                    )
-                )
-        if not live:
-            return True
-        if self.chaos is not None:
-            # Injection happens parent-side so the seeded schedule and the
-            # shared death caps stay exact across transports; an injected
-            # WorkerDeath *is* a process death here.
-            try:
-                self.chaos.on_batch(worker.index, len(live))
-            except WorkerDeath:
-                self._kill(worker)
-                return False
-            except Exception as exc:  # injected transient fault — degrade
-                for request in live:
-                    _resolve(request.future, _degraded_brief(exc))
-                return True
-        started = self.clock()
-        # One detached "serve" span per live request, opened parent-side
-        # (the dispatcher is the worker's parent half) under the request's
-        # admission span — the same tree shape as the thread transport.
-        serve_spans: List[Tuple[object, object]] = []
-        if worker.tracer.enabled:
-            for request in live:
-                trace = getattr(request, "trace", None)
-                if trace is None:
-                    continue
-                serve_spans.append(
-                    (
-                        request,
-                        worker.tracer.open(
-                            "serve",
-                            trace=trace,
-                            doc_id=request.doc_id,
-                            batch_pages=len(live),
-                            shard=worker.index,
-                        ),
-                    )
-                )
-        # Overload forces the cascade to student-only service; the flag is
-        # sampled once per batch parent-side (where the governor lives) and
-        # shipped with the payload.
-        student_only = self.governor is not None and self.governor.level >= 2
+    def _brief(self, worker: _ProcessWorker, live: list, now: float, student_only: bool) -> list:
+        """Ship one batch over the pipe; a dead pipe is a ``WorkerDeath``.
+
+        Deadlines cross as budgets remaining at ``now`` and trace contexts
+        as plain tuples; the governor's ``student_only`` flag rides with the
+        batch it applies to.
+        """
+        payload = [
+            (
+                request.doc_id,
+                request.html,
+                None if request.deadline is None else max(0.0, request.deadline - now),
+                None if request.trace is None else tuple(request.trace),
+            )
+            for request in live
+        ]
         try:
             # The pipe lock covers the whole exchange so a concurrent flush
             # probe can never interleave its frames with ours.
@@ -675,32 +480,23 @@ class ProcessWorkerPool(WorkerTransport):
                     if message[0] == "telemetry":
                         self._merge_telemetry(worker, message[1])
                     message = self._recv(worker)
-            _, briefs, delta, telemetry = message
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            for _, span in serve_spans:
-                span.record_error(exc).finish()
-            return False
+        except (EOFError, OSError) as exc:
+            raise WorkerDeath(f"worker process {worker.index} died") from exc
+        _, briefs, delta, telemetry = message
         self._merge_telemetry(worker, telemetry)
         for name, amount in delta.items():
             worker.stats.inc(name, amount)
-        if self.governor is not None:
-            self.governor.observe_batch(self.clock() - started, len(live))
-        for request, brief in zip(live, briefs):
+        if self.front_cache is not None:
             # Only canonical answers reach the shared front tier: a student
             # brief served because a deadline or the governor suppressed its
             # escalation is situational and must not answer future requests.
-            if (
-                self.front_cache is not None
-                and brief.complete
-                and brief.tier_reason in _CANONICAL_REASONS
-            ):
-                self.front_cache.put(request.html, _copy_brief(brief))
-            _resolve(request.future, brief)
-        for _, span in serve_spans:
-            span.finish()
-        return True
+            for request, brief in zip(live, briefs):
+                if brief.complete and brief.tier_reason in _CANONICAL_REASONS:
+                    self.front_cache.put(request.html, _copy_brief(brief))
+        return briefs
 
-    def _stop_child(self, worker: _ProcessWorker) -> None:
+    def _on_exit(self, worker: _ProcessWorker) -> None:
+        """Stop the child cleanly once its shard is closed and drained."""
         try:
             with worker.lock:
                 worker.conn.send(("stop",))
@@ -717,16 +513,6 @@ class ProcessWorkerPool(WorkerTransport):
             worker.process.join(timeout=2.0)
 
     # -- merged observability ------------------------------------------
-    def _all_workers(self) -> List[_ProcessWorker]:
-        with self._lock:
-            return list(self._workers) + list(self._retired)
-
-    def merged_stats(self) -> RuntimeStats:
-        merged = RuntimeStats()
-        for worker in self._all_workers():
-            merged = merged.merge(worker.stats)
-        return merged
-
     def _warn_blind(self) -> None:
         if self._warned_blind:
             return
@@ -767,51 +553,35 @@ class ProcessWorkerPool(WorkerTransport):
         finally:
             worker.lock.release()
 
+    def _worker_metrics(self, worker: _ProcessWorker) -> MetricsSnapshot:
+        self._flush_worker(worker)
+        return worker.snapshot.merge(worker.registry.snapshot())
+
+    def _worker_spans(self, worker: _ProcessWorker) -> list:
+        self._flush_worker(worker)
+        return list(worker.spans) + list(worker.tracer.spans)
+
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Merged worker metrics, reassembled from shipped deltas.
 
         Each worker contributes its child-side series (accumulated from the
         per-batch deltas, topped up by a flush probe when idle) merged with
-        its parent-side registry (the dispatch-time deadline histogram),
-        stamped with ``worker`` / ``transport`` / ``generation`` labels at
-        merge time — the same provenance contract as the thread transport,
-        so cross-transport dashboards and
-        :meth:`~repro.obs.MetricsSnapshot.aggregate` work unchanged.
+        its parent-side registry (the dispatch-time deadline histogram).
         """
         if not self.observe:
             self._warn_blind()
             return MetricsSnapshot()
-        merged = MetricsSnapshot()
-        for worker in self._all_workers():
-            self._flush_worker(worker)
-            combined = worker.snapshot.merge(worker.registry.snapshot())
-            merged = merged.merge(
-                combined.with_labels(
-                    worker=worker.index,
-                    transport=self.transport_name,
-                    generation=worker.generation,
-                )
-            )
-        return merged
+        return super().metrics_snapshot()
 
     def trace_spans(self) -> list:
         """Finished spans from both sides of every worker's pipe.
 
         Child spans arrive as :class:`~repro.obs.SpanRecord`\\ s (shipped as
         dicts on batch replies), parent-side ``serve`` spans come straight
-        from the dispatcher's tracer; both get the worker's provenance
-        attributes, and ids stay globally unique thanks to the per-tracer
-        ``w``/``d`` prefixes.
+        from the dispatcher's tracer; ids stay globally unique thanks to the
+        per-tracer ``w``/``d`` prefixes.
         """
         if not self.observe:
             self._warn_blind()
             return []
-        spans = []
-        for worker in self._all_workers():
-            self._flush_worker(worker)
-            for span in list(worker.spans) + list(worker.tracer.spans):
-                span.attributes.setdefault("worker", worker.index)
-                span.attributes.setdefault("transport", self.transport_name)
-                span.attributes.setdefault("generation", worker.generation)
-                spans.append(span)
-        return spans
+        return super().trace_spans()

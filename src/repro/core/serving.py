@@ -1,4 +1,4 @@
-"""Concurrent serving: sharded caches, a micro-batching scheduler, worker pool.
+"""Concurrent serving: a micro-batching scheduler, worker pool, supervisor.
 
 This module scales :class:`~repro.core.batched.BatchedBriefingPipeline` from
 one thread to a pool, without giving up the two contracts the serving stack
@@ -9,10 +9,6 @@ already guarantees: *never raise* (faults degrade to
 
 Layers, bottom up:
 
-* :class:`ShardedBriefCache` — the LRU brief/render cache split into
-  lock-striped shards (per-shard ``threading.Lock``, shard picked by content
-  hash), so concurrent cache hits touch different locks instead of
-  serialising the whole pool behind one.
 * :class:`RequestScheduler` — a bounded admission queue with micro-batching:
   a worker asking for work receives up to ``max_batch`` pending requests,
   waiting at most ``max_wait_ms`` for stragglers, so one
@@ -26,13 +22,13 @@ Layers, bottom up:
   in-flight count and an EWMA of batch latency and degrades in steps —
   shrink the micro-batch straggler wait, reject low-priority requests
   (``Overloaded``), shed everything non-cached to cache-only serving.
-* :class:`WorkerPool` — N briefing workers over *shared read-only model
-  weights* and the shared caches, each with its **own**
-  :class:`~repro.runtime.stats.RuntimeStats`, tracer and metrics registry
-  (none of which are thread-safe to share); the per-worker state merges on
-  read via ``RuntimeStats.merge`` and the associative
-  :meth:`~repro.obs.metrics.MetricsSnapshot.merge`.  Workers heartbeat and
-  record the batch they hold, so a supervisor can spot dead/wedged ones.
+* :class:`WorkerPool` — the thread transport: N briefing workers over
+  *shared read-only model weights* and the shared caches, each with its
+  **own** :class:`~repro.runtime.stats.RuntimeStats`, tracer, metrics
+  registry and pipeline.  The worker loop, per-batch dispatch, worker
+  records and merged reads are the pool core shared with the process
+  transport (:class:`~repro.core.transport.WorkerTransport`); this class
+  only builds in-thread workers and runs ``brief_many`` on each batch.
 * :class:`WorkerSupervisor` — resurrects dead or wedged workers with fresh
   per-worker state, re-queues the batch the dead worker held (at-most-once
   re-dispatch: resolved futures are never double-set), and quarantines
@@ -41,7 +37,8 @@ Layers, bottom up:
   :class:`~repro.runtime.retry.CircuitBreaker`.
 * :class:`ConcurrentBriefingPipeline` — the facade: thread-safe
   ``submit``/``brief_many`` with per-request deadlines and priorities,
-  front-door cache hits (served without touching the queue), and a
+  front-door hits on one global-LRU :class:`~repro.core.batched.BriefCache`
+  (served without touching the queue), and a
   single-flight in-flight map so concurrent requests for the same content
   run the model exactly once — followers wait on the leader's computation
   and receive defensive copies, each checked against its *own* deadline.
@@ -49,11 +46,10 @@ Layers, bottom up:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..models.joint_wb import JointWBModel
@@ -67,121 +63,29 @@ from ..obs import (
     SLOTracker,
     Tracer,
 )
-from ..runtime.chaos import WorkerDeath
-from ..runtime.errors import DeadlineExceeded, Overloaded, QueueFull
+from ..runtime.errors import Overloaded, QueueFull
 from ..runtime.retry import CircuitBreaker
 from ..runtime.stats import RuntimeStats
-from .batched import BatchedBriefingPipeline, BriefCache, Page, _copy_brief, content_hash
+from .batched import BriefCache, Page, _copy_brief, content_hash
 from .briefing import Degradation, PartialBrief
 from .cascade import CascadeModel, make_batched_pipeline
 from .pipeline import _reason
-from .transport import ModelSnapshot, WorkerTransport
+from .transport import (
+    ModelSnapshot,
+    WorkerRecord,
+    WorkerTransport,
+    _deadline_partial,
+    _empty_brief,
+    _resolve,
+)
 
 __all__ = [
-    "ShardedBriefCache",
     "RequestScheduler",
     "ServingGovernor",
     "WorkerPool",
     "WorkerSupervisor",
     "ConcurrentBriefingPipeline",
 ]
-
-
-def _resolve(future: "Future[PartialBrief]", brief: PartialBrief) -> bool:
-    """Set a future's result exactly once; lose gracefully if already set.
-
-    The supervisor and the worker it replaces can race to resolve the same
-    request (a wedged worker may finish late, after its batch was re-queued).
-    Whoever gets there first wins; the loser is a no-op, so re-dispatch is
-    at-most-once from the caller's point of view.
-    """
-    try:
-        future.set_result(brief)
-        return True
-    except InvalidStateError:
-        return False
-
-
-def _deadline_partial(where: str) -> PartialBrief:
-    """The typed brief an expired request resolves to (never raises)."""
-    exc = DeadlineExceeded(f"deadline expired {where}")
-    return PartialBrief(
-        topic=[],
-        attributes=[],
-        degradations=[Degradation("deadline", "expired", _reason(exc))],
-    )
-
-
-class ShardedBriefCache:
-    """A :class:`BriefCache` striped across ``num_shards`` locked shards.
-
-    Each shard is an ordinary ``BriefCache`` (which carries its own lock);
-    the shard for a piece of content is picked by hashing the content, so
-    two concurrent lookups for different pages almost always take different
-    locks.  The per-shard LRU means eviction order is *per shard* rather
-    than global — with capacity split evenly this changes which entry is
-    evicted under pressure, never correctness (a miss just recomputes).
-
-    The cache-level ``hits``/``misses`` totals sum the shard counters, so
-    the external counter contract matches ``BriefCache``.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        num_shards: int = 8,
-        hash_fn: Optional[Callable[[str], Hashable]] = None,
-    ) -> None:
-        if capacity < 0:
-            raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.capacity = capacity
-        self.num_shards = num_shards
-        # Ceil-split so total shard capacity is never below the requested
-        # capacity; capacity=0 keeps every shard disabled.
-        per_shard = -(-capacity // num_shards) if capacity else 0
-        self._shards = [BriefCache(per_shard, hash_fn=hash_fn) for _ in range(num_shards)]
-
-    def shard_index(self, content: str) -> int:
-        """The shard this content lives in — stable across runs and processes.
-
-        A keyed digest (not Python's salted ``hash``) picks the shard, so
-        shard assignment is deterministic: tests can target a specific shard
-        and multi-process front tiers agree on placement.
-        """
-        digest = hashlib.blake2b(content.encode("utf-8", "surrogatepass"), digest_size=8)
-        return int.from_bytes(digest.digest(), "big") % self.num_shards
-
-    def _shard(self, content: str) -> BriefCache:
-        return self._shards[self.shard_index(content)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, content: str) -> bool:
-        return content in self._shard(content)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    def keys(self) -> List[Hashable]:
-        """All cached keys, grouped by shard (for tests/introspection)."""
-        keys: List[Hashable] = []
-        for shard in self._shards:
-            keys.extend(shard.keys())
-        return keys
-
-    def get(self, content: str):
-        return self._shard(content).get(content)
-
-    def put(self, content: str, value) -> None:
-        self._shard(content).put(content, value)
 
 
 class RequestScheduler:
@@ -594,74 +498,27 @@ class _Request:
             self.deadline = max(self.deadline, deadline)
 
 
-class _Worker:
-    """One pool member: a private pipeline plus private observability state.
+class _Worker(WorkerRecord):
+    """A thread-transport worker record: the shared record plus the worker's
+    private pipeline (built over the worker's own stats/tracer/registry)."""
 
-    ``heartbeat`` (a clock sample) and ``current_batch`` are the supervisor's
-    window into the worker: a live thread with a stale heartbeat and a held
-    batch is *wedged*; a dead thread with ``exited`` unset *died* mid-batch.
-    ``generation`` increments on every resurrection so restarted threads are
-    distinguishable.
-    """
-
-    __slots__ = (
-        "index",
-        "pipeline",
-        "stats",
-        "tracer",
-        "registry",
-        "thread",
-        "generation",
-        "heartbeat",
-        "current_batch",
-        "exited",
-        "handled",
-        "deadline_hist",
-    )
-
-    def __init__(self, index: int, pipeline: BatchedBriefingPipeline, stats: RuntimeStats,
-                 tracer, registry, generation: int = 0) -> None:
-        self.index = index
-        self.pipeline = pipeline
-        self.stats = stats
-        self.tracer = tracer
-        self.registry = registry
-        self.thread: Optional[threading.Thread] = None
-        self.generation = generation
-        self.heartbeat: Optional[float] = None
-        self.current_batch: Optional[List[_Request]] = None
-        self.exited = False
-        self.handled = False
-        self.deadline_hist = registry.histogram(
-            "request_deadline_remaining_seconds",
-            help="remaining deadline budget sampled at worker dispatch",
-        )
-
-    @property
-    def started(self) -> bool:
-        """Whether this worker was ever started (supervisor scans skip it otherwise)."""
-        return self.thread is not None
-
-    def alive(self) -> bool:
-        """Transport-agnostic liveness: for a thread worker, the thread itself."""
-        return self.thread is not None and self.thread.is_alive()
+    __slots__ = ("pipeline",)
 
 
 class WorkerPool(WorkerTransport):
     """The *thread* transport: N briefing workers draining one scheduler.
 
-    All workers share the (read-only) model weights and the sharded caches;
+    All workers share the (read-only) model weights and the front caches;
     everything mutable — ``RuntimeStats``, tracer, metrics registry, the
     fallback pipeline — is per-worker, because none of those are safe to
-    share across threads.  ``merged_stats()`` / ``metrics_snapshot()`` /
-    ``trace_spans()`` combine the per-worker state on read (metric merging
-    is associative, so the result is worker-order independent), including
-    the state of *retired* workers (ones that died and were replaced), so
-    resurrection never loses counters.
-
-    ``chaos`` is an optional :class:`~repro.runtime.chaos.ChaosWorker`
-    invoked once per dispatched batch; ``governor`` (if given) receives
-    batch-latency observations.
+    share across threads.  The worker loop, the per-batch dispatch path
+    (deadline sweep, ``chaos`` injection, ``serve`` spans, ``governor``
+    feed, resolution), resurrection and the merged reads all come from the
+    shared :class:`~repro.core.transport.WorkerTransport` core; this class
+    only builds in-thread workers, feeds them from the one scheduler and
+    turns a batch into briefs with the worker's own ``brief_many``.  An
+    injected :class:`~repro.runtime.chaos.WorkerDeath` kills the thread
+    holding its batch.
 
     As a :class:`~repro.core.transport.WorkerTransport` the pool also fronts
     its scheduler (``submit``/``depth``/``close``/``drain``/``requeue``), so
@@ -689,13 +546,7 @@ class WorkerPool(WorkerTransport):
         clock: Optional[Callable[[], float]] = None,
         governor: Optional[ServingGovernor] = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.scheduler = scheduler
-        self.observe = observe
-        self.chaos = chaos
-        self.governor = governor
-        self.clock = clock if clock is not None else time.monotonic
         self._model = model
         self._beam_size = beam_size
         self._batch_size = batch_size
@@ -704,45 +555,27 @@ class WorkerPool(WorkerTransport):
         self._student_cache = student_cache
         self._hash_fn = hash_fn
         self._dtype = dtype
-        self._lock = threading.Lock()
-        self._retired: List[_Worker] = []
-        self._workers: List[_Worker] = [
-            self._make_worker(index, 0) for index in range(num_workers)
-        ]
+        super().__init__(num_workers, clock=clock, governor=governor, chaos=chaos, observe=observe)
 
     def _make_worker(self, index: int, generation: int) -> _Worker:
-        stats = RuntimeStats()
-        # The id prefix keeps span ids globally unique across the pool's many
-        # tracers, so reassembled traces never collide parent ids.
-        tracer = Tracer(id_prefix=f"w{index}g{generation}.") if self.observe else NOOP_TRACER
-        registry = MetricsRegistry() if self.observe else NOOP_REGISTRY
+        worker = _Worker(index, generation, self.observe, "w")
         # The factory picks the tiered cascade pipeline for a CascadeModel
         # (with the pool-shared student-tier cache) and the plain batched
         # pipeline for everything else.
-        pipeline = make_batched_pipeline(
+        worker.pipeline = make_batched_pipeline(
             self._model,
             beam_size=self._beam_size,
-            stats=stats,
+            stats=worker.stats,
             batch_size=self._batch_size,
             hash_fn=self._hash_fn,
             dtype=self._dtype,
-            tracer=tracer,
-            registry=registry,
+            tracer=worker.tracer,
+            registry=worker.registry,
             brief_cache=self._brief_cache,
             render_cache=self._render_cache,
             student_cache=self._student_cache,
         )
-        return _Worker(index, pipeline, stats, tracer, registry, generation)
-
-    @property
-    def num_workers(self) -> int:
-        return len(self._workers)
-
-    @property
-    def workers(self) -> List[_Worker]:
-        """Live worker records (for the supervisor; treat as read-only)."""
-        with self._lock:
-            return list(self._workers)
+        return worker
 
     # -- transport surface: the pool fronts its one shared scheduler --------
     @property
@@ -763,224 +596,17 @@ class WorkerPool(WorkerTransport):
         # of it regardless of which worker died.
         self.scheduler.requeue(requests)
 
-    def start(self) -> None:
-        """Spawn one daemon thread per worker (idempotent)."""
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            if worker.thread is not None:
-                continue
-            self._start_worker(worker)
+    def _next_batch(self, worker: _Worker) -> Optional[List[_Request]]:
+        return self.scheduler.next_batch()
 
-    def _start_worker(self, worker: _Worker) -> None:
-        thread = threading.Thread(
-            target=self._run,
-            args=(worker,),
-            name=f"brief-worker-{worker.index}-g{worker.generation}",
-            daemon=True,
+    def _brief(self, worker: _Worker, live: List[_Request], now: float, student_only: bool) -> list:
+        return worker.pipeline.brief_many(
+            [(request.doc_id, request.html) for request in live],
+            deadlines=[request.deadline for request in live],
+            clock=self.clock,
+            trace_contexts=[request.trace for request in live] if worker.tracer.enabled else None,
+            student_only=student_only,
         )
-        worker.thread = thread
-        thread.start()
-
-    def restart_worker(self, worker: _Worker) -> Optional[_Worker]:
-        """Replace a dead/wedged worker with a fresh generation.
-
-        The old worker's stats/tracer/registry are retired (still counted in
-        merged reads); the replacement gets entirely fresh per-worker state,
-        so a crash can never leave a worker with corrupted internals.
-        Returns the replacement, or ``None`` if ``worker`` was already
-        replaced (two supervision passes racing).
-        """
-        with self._lock:
-            if self._workers[worker.index] is not worker:
-                return None
-            replacement = self._make_worker(worker.index, worker.generation + 1)
-            self._retired.append(worker)
-            self._workers[worker.index] = replacement
-        self._start_worker(replacement)
-        return replacement
-
-    def join(self, timeout: Optional[float] = None) -> List[str]:
-        """Wait for every started worker to exit (scheduler must be closed).
-
-        A single absolute deadline is shared across all joins — ``timeout``
-        bounds the *total* wall time, not each worker's.  Returns the names
-        of threads still alive when the deadline hit (empty on clean exit).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            # Fresh snapshot each round: the supervisor may have swapped in
-            # replacement workers while we were joining the previous ones.
-            alive = [
-                worker.thread
-                for worker in self.workers
-                if worker.thread is not None and worker.thread.is_alive()
-            ]
-            if not alive:
-                return []
-            for thread in alive:
-                if deadline is None:
-                    thread.join()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    thread.join(timeout=remaining)
-            if deadline is not None and time.monotonic() >= deadline:
-                return [thread.name for thread in alive if thread.is_alive()]
-
-    def stuck_workers(self) -> List[_Worker]:
-        """Workers whose thread is still alive after a failed join."""
-        return [
-            worker
-            for worker in self.workers
-            if worker.thread is not None and worker.thread.is_alive()
-        ]
-
-    def _run(self, worker: _Worker) -> None:
-        while True:
-            worker.heartbeat = self.clock()
-            batch: Optional[List[_Request]] = self.scheduler.next_batch()
-            if batch is None:
-                worker.exited = True
-                return
-            worker.heartbeat = self.clock()
-            worker.current_batch = batch
-            try:
-                self._serve_batch(worker, batch)
-            except WorkerDeath:
-                # The injected crash: the thread terminates right here with
-                # ``exited`` unset and ``current_batch`` still held — the
-                # exact signature the supervisor scans for.  Returning (vs
-                # propagating) only silences the default excepthook noise.
-                return
-            # Only a normal completion clears the held batch: if the worker
-            # dies inside _serve_batch the supervisor finds the batch here.
-            worker.current_batch = None
-
-    def _serve_batch(self, worker: _Worker, batch: List[_Request]) -> None:
-        worker.stats.inc("batches_dispatched")
-        now = self.clock()
-        live: List[_Request] = []
-        for request in batch:
-            if request.expired(now):
-                worker.stats.inc("deadline_expirations")
-                _resolve(request.future, _deadline_partial("before dispatch"))
-            else:
-                if request.deadline is not None:
-                    worker.deadline_hist.observe(max(0.0, request.deadline - now))
-                live.append(request)
-        if not live:
-            return
-        if self.chaos is not None:
-            try:
-                self.chaos.on_batch(worker.index, len(live))
-            except Exception as exc:  # injected transient fault — degrade
-                self._degrade_batch(worker, live, exc)
-                return
-            # WorkerDeath is a BaseException and deliberately NOT caught:
-            # the thread dies holding the batch, for the supervisor to find.
-        started = self.clock()
-        # One detached "serve" span per live request, parented under its
-        # admission span: the per-request view of the shared batch.  The
-        # batch's own brief_many subtree is parented under the leader's
-        # context inside the pipeline.
-        serve_spans: List[Tuple[_Request, object]] = []
-        trace_contexts = None
-        if worker.tracer.enabled:
-            trace_contexts = [request.trace for request in live]
-            for request in live:
-                if request.trace is None:
-                    continue
-                serve_spans.append(
-                    (
-                        request,
-                        worker.tracer.open(
-                            "serve",
-                            trace=request.trace,
-                            doc_id=request.doc_id,
-                            batch_pages=len(live),
-                            shard=worker.index,
-                        ),
-                    )
-                )
-        # Overload forces the cascade to student-only service: at shedding or
-        # cache_only no teacher escalation may be spent on this batch.  The
-        # flag is computed once per batch so every document in it sees one
-        # consistent policy.
-        student_only = self.governor is not None and self.governor.level >= 2
-        try:
-            briefs = worker.pipeline.brief_many(
-                [(request.doc_id, request.html) for request in live],
-                deadlines=[request.deadline for request in live],
-                clock=self.clock,
-                trace_contexts=trace_contexts,
-                student_only=student_only,
-            )
-        except Exception as exc:  # brief_many never raises; last resort
-            for _, span in serve_spans:
-                span.record_error(exc).finish()
-            self._degrade_batch(worker, live, exc)
-            return
-        if self.governor is not None:
-            self.governor.observe_batch(self.clock() - started, len(live))
-        for request, brief in zip(live, briefs):
-            _resolve(request.future, brief)
-        for _, span in serve_spans:
-            span.finish()
-
-    def _degrade_batch(self, worker: _Worker, batch: List[_Request], exc: BaseException) -> None:
-        for request in batch:
-            _resolve(
-                request.future,
-                PartialBrief(
-                    topic=[],
-                    attributes=[],
-                    degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                ),
-            )
-
-    # ------------------------------------------------------------------
-    def _all_workers(self) -> List[_Worker]:
-        with self._lock:
-            return list(self._workers) + list(self._retired)
-
-    def merged_stats(self) -> RuntimeStats:
-        """Element-wise sum of every worker's counters (retired included)."""
-        merged = RuntimeStats()
-        for worker in self._all_workers():
-            merged = merged.merge(worker.stats)
-        return merged
-
-    def metrics_snapshot(self) -> MetricsSnapshot:
-        """Associative merge of every worker's registry snapshot.
-
-        Each worker's series are stamped with ``worker`` / ``transport`` /
-        ``generation`` provenance labels at merge time (recorded labels win);
-        use :meth:`MetricsSnapshot.aggregate` to collapse them back into
-        pool-wide totals.
-        """
-        merged = MetricsSnapshot()
-        for worker in self._all_workers():
-            merged = merged.merge(
-                worker.registry.snapshot().with_labels(
-                    worker=worker.index,
-                    transport=self.transport_name,
-                    generation=worker.generation,
-                )
-            )
-        return merged
-
-    def trace_spans(self) -> list:
-        """Finished spans from every worker tracer (ids unique per worker)."""
-        spans = []
-        for worker in self._all_workers():
-            for span in worker.tracer.spans:
-                span.attributes.setdefault("worker", worker.index)
-                span.attributes.setdefault("transport", self.transport_name)
-                span.attributes.setdefault("generation", worker.generation)
-                spans.append(span)
-        return spans
 
 
 class WorkerSupervisor:
@@ -998,7 +624,7 @@ class WorkerSupervisor:
       ``wedge_timeout`` seconds with a stale heartbeat is *wedged*.
 
     Either way the worker is replaced via
-    :meth:`WorkerPool.restart_worker` (fresh stats/tracer/registry) and its
+    :meth:`WorkerTransport.restart_worker` (fresh stats/tracer/registry) and its
     held batch is re-queued at the front of the scheduler.  Re-dispatch is
     at-most-once per request: futures a late-finishing wedged worker already
     resolved are skipped (:func:`_resolve` loses that race gracefully), and
@@ -1017,7 +643,6 @@ class WorkerSupervisor:
     def __init__(
         self,
         pool: WorkerTransport,
-        scheduler: Optional[RequestScheduler] = None,
         *,
         poll_interval: float = 0.02,
         wedge_timeout: Optional[float] = None,
@@ -1035,7 +660,6 @@ class WorkerSupervisor:
         if poison_threshold < 1:
             raise ValueError(f"poison_threshold must be >= 1, got {poison_threshold}")
         self.pool = pool
-        self.scheduler = scheduler
         self.poll_interval = poll_interval
         self.wedge_timeout = wedge_timeout
         self.max_attempts = max_attempts
@@ -1119,7 +743,7 @@ class WorkerSupervisor:
                 handled += 1
         return handled
 
-    def _handle_failure(self, worker: _Worker, kind: str, restart: bool) -> None:
+    def _handle_failure(self, worker: WorkerRecord, kind: str, restart: bool) -> None:
         batch = worker.current_batch or []
         survivors: List[_Request] = []
         repeat_death = False
@@ -1168,14 +792,7 @@ class WorkerSupervisor:
             # work resolves degraded instead of being re-queued.
             exc = Overloaded("worker lost at shutdown", reason="shutdown")
             for request in survivors:
-                _resolve(
-                    request.future,
-                    PartialBrief(
-                        topic=[],
-                        attributes=[],
-                        degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                    ),
-                )
+                _resolve(request.future, _empty_brief(exc))
 
     def _quarantine(self, request: _Request) -> None:
         self.stats.inc("poison_quarantined")
@@ -1275,7 +892,6 @@ class ConcurrentBriefingPipeline:
         max_queue: int = 256,
         brief_cache_size: int = 256,
         render_cache_size: int = 256,
-        num_shards: int = 8,
         hash_fn: Optional[Callable[[str], Hashable]] = None,
         dtype=None,
         stats: Optional[RuntimeStats] = None,
@@ -1290,8 +906,6 @@ class ConcurrentBriefingPipeline:
         chaos=None,
         breaker: Optional[CircuitBreaker] = None,
         mp_context: Optional[str] = None,
-        worker_cache_size: int = 256,
-        spawn_timeout: float = 30.0,
         slo: Optional[SLOTracker] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
@@ -1302,8 +916,13 @@ class ConcurrentBriefingPipeline:
         self._clock = clock if clock is not None else time.monotonic
         self._hash_fn = hash_fn if hash_fn is not None else content_hash
         self.default_deadline_ms = default_deadline_ms
-        self.brief_cache = ShardedBriefCache(brief_cache_size, num_shards, hash_fn=hash_fn)
-        self.render_cache = ShardedBriefCache(render_cache_size, num_shards, hash_fn=hash_fn)
+        #: the front door's cache: one global LRU shared by every worker
+        #: (thread) or filled by the dispatchers (process).
+        self.brief_cache = BriefCache(brief_cache_size, hash_fn=hash_fn)
+        #: shared parsed-page cache; process workers keep their own instead.
+        self.render_cache = (
+            BriefCache(render_cache_size, hash_fn=hash_fn) if transport == "thread" else None
+        )
         #: tiered serving: the front brief cache holds only canonical cascade
         #: answers; the student cache (thread transport) holds every complete
         #: student-tier answer for governor-forced student-only batches.
@@ -1311,7 +930,7 @@ class ConcurrentBriefingPipeline:
             isinstance(model, ModelSnapshot) and getattr(model, "is_cascade", False)
         )
         self.student_cache = (
-            ShardedBriefCache(brief_cache_size, num_shards, hash_fn=hash_fn)
+            BriefCache(brief_cache_size, hash_fn=hash_fn)
             if self.is_cascade and transport == "thread"
             else None
         )
@@ -1343,23 +962,14 @@ class ConcurrentBriefingPipeline:
                 governor=governor,
                 chaos=chaos,
                 mp_context=mp_context,
-                worker_cache_size=worker_cache_size,
-                spawn_timeout=spawn_timeout,
+                worker_cache_size=brief_cache_size,
                 observe=observe,
             )
         else:
             if isinstance(model, ModelSnapshot):
-                # Thread workers run in-process, so restore here — but
-                # ``restore()`` is written for worker processes and sets the
-                # process-wide nn dtype; preserve the caller's override so
-                # accepting a snapshot never mutates in-process dtype state.
-                from ..nn import get_dtype_override, set_default_dtype
-
-                prior = get_dtype_override()
-                try:
-                    model, snapshot_dtype = model.restore()
-                finally:
-                    set_default_dtype(prior)
+                # Thread workers run in-process, so restore here; inference
+                # runs under the snapshot's pipeline dtype unless overridden.
+                model, snapshot_dtype = model.restore()
                 if dtype is None:
                     dtype = snapshot_dtype
             self.scheduler = RequestScheduler(
@@ -1422,7 +1032,6 @@ class ConcurrentBriefingPipeline:
         if supervise:
             self.supervisor = WorkerSupervisor(
                 self.pool,
-                self.scheduler,
                 poll_interval=supervisor_poll_ms / 1000.0,
                 wedge_timeout=None if wedge_timeout_ms is None else wedge_timeout_ms / 1000.0,
                 breaker=breaker,
@@ -1484,14 +1093,7 @@ class ConcurrentBriefingPipeline:
         # that no worker picked up before the deadline) resolves degraded.
         exc = Overloaded("pipeline shut down before the request was served", reason="shutdown")
         for request in self.pool.drain():
-            _resolve(
-                request.future,
-                PartialBrief(
-                    topic=[],
-                    attributes=[],
-                    degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                ),
-            )
+            _resolve(request.future, _empty_brief(exc))
         # A worker that never let go of its batch — stuck (alive past the
         # join deadline) or dead without supervision (e.g. a worker process
         # lost with ``supervise=False``) — still holds admitted futures;
@@ -1503,14 +1105,7 @@ class ConcurrentBriefingPipeline:
                 leftovers.setdefault(id(worker), worker)
         for worker in leftovers.values():
             for request in list(worker.current_batch or []):
-                _resolve(
-                    request.future,
-                    PartialBrief(
-                        topic=[],
-                        attributes=[],
-                        degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                    ),
-                )
+                _resolve(request.future, _empty_brief(exc))
         self.pool.reap()
         self.stuck_workers = stuck
         if self.journal is not None:

@@ -76,18 +76,8 @@ class StudentCheckpoint:
 
         Returns ``True`` when the restored model's briefs are bit-identical
         to the original's — the property the serving stack depends on.
-
-        ``restore()`` is designed to run in a worker process, where it sets
-        the process-wide tensor dtype; running it here, in the caller's
-        process, must not leave that override behind.
         """
-        from .. import nn
-
-        prior = nn.get_dtype_override()
-        try:
-            restored, _ = self.to_snapshot().restore()
-        finally:
-            nn.set_default_dtype(prior)
+        restored, _ = self.to_snapshot().restore()
         original = self.model.predict_batch(
             documents, beam_size=beam_size, batch_size=batch_size
         )

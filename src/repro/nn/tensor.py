@@ -92,8 +92,8 @@ def get_dtype_override() -> Optional[np.dtype]:
 
     Unlike :func:`get_default_dtype` this distinguishes "no override —
     floating inputs keep their own dtype" from an explicit float64 override,
-    so callers that must temporarily call :func:`set_default_dtype` (e.g. an
-    in-process :meth:`ModelSnapshot.restore`) can put the mode back exactly.
+    so callers that must temporarily call :func:`set_default_dtype` can put
+    the mode back exactly.
     """
     return _PROCESS_DTYPE_OVERRIDE
 

@@ -109,12 +109,3 @@ def cascade_pages():
 @pytest.fixture()
 def regen_golden(request):
     return request.config.getoption("--regen-golden")
-
-
-@pytest.fixture(autouse=True)
-def _preserve_dtype_override():
-    """In-process ModelSnapshot.restore() sets the process-wide tensor dtype
-    (it is built for worker processes); put the mode back after each test."""
-    prior = nn.get_dtype_override()
-    yield
-    nn.set_default_dtype(prior)

@@ -15,15 +15,6 @@ from repro import nn
 from repro.distill import DistillConfig, StudentCheckpoint, TriDistiller
 
 
-@pytest.fixture(autouse=True)
-def _preserve_dtype_override():
-    """In-process ModelSnapshot.restore() sets the process-wide tensor dtype
-    (it is built for worker processes); put the mode back after each test."""
-    prior = nn.get_dtype_override()
-    yield
-    nn.set_default_dtype(prior)
-
-
 @pytest.fixture()
 def distilled_student(corpus, vocab, joint_teacher, bank):
     """A student actually trained by TriDistiller (live training object)."""

@@ -1,4 +1,4 @@
-"""Thread-safety of BriefCache and the lock-striped ShardedBriefCache.
+"""Thread-safety and capacity of BriefCache, the one serving cache.
 
 ``test_get_survives_concurrent_eviction`` is the regression for the
 pre-serving ``BriefCache``, which guarded nothing: a ``get`` that had
@@ -14,7 +14,10 @@ blocks until the reader is done.
 
 The hammering tests then assert the conservation invariant the serving
 stats depend on — ``hits + misses == lookups`` — under real thread-pool
-contention and eviction pressure.
+contention and eviction pressure.  Every serving front door (brief, render
+and student caches, both transports) is a plain ``BriefCache``: one lock per
+operation, the key hashed outside it, and ``capacity`` one global LRU — which
+the last test pins end to end through ``ConcurrentBriefingPipeline``.
 """
 
 import random
@@ -24,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import BriefCache, ShardedBriefCache
+from repro.core import BriefCache, ConcurrentBriefingPipeline
 
 THREADS = 8
 OPS_PER_THREAD = 2000
@@ -100,7 +103,8 @@ def test_brief_cache_conserves_counters_under_contention():
 
 
 def test_sharded_cache_conserves_counters_under_contention():
-    cache = ShardedBriefCache(8, num_shards=4)
+    """Twice as many keys as capacity, 8 threads: every lookup counted once."""
+    cache = BriefCache(8)
     keys = [f"content-{i}" for i in range(16)]
     with ThreadPoolExecutor(max_workers=THREADS) as pool:
         list(pool.map(lambda seed: _hammer(cache, seed, keys), range(THREADS)))
@@ -109,10 +113,10 @@ def test_sharded_cache_conserves_counters_under_contention():
 
 
 # ----------------------------------------------------------------------
-# ShardedBriefCache unit behaviour (single-threaded contract)
+# BriefCache unit behaviour (single-threaded contract)
 # ----------------------------------------------------------------------
 def test_sharded_cache_round_trip_and_counters():
-    cache = ShardedBriefCache(16, num_shards=4)
+    cache = BriefCache(16)
     assert cache.get("a") is None
     cache.put("a", 1)
     assert cache.get("a") == 1
@@ -122,115 +126,86 @@ def test_sharded_cache_round_trip_and_counters():
     assert len(cache.keys()) == 1
 
 
-def test_sharded_cache_capacity_ceil_split():
-    # 10 entries over 4 shards → 3 per shard; total capacity never below 10.
-    cache = ShardedBriefCache(10, num_shards=4)
-    for i in range(40):
-        cache.put(f"content-{i}", i)
-    assert 10 <= len(cache) <= 12
-
-
 def test_sharded_cache_zero_capacity_disables():
-    cache = ShardedBriefCache(0, num_shards=4)
+    cache = BriefCache(0)
     cache.put("a", 1)
     assert cache.get("a") is None
     assert len(cache) == 0
 
 
-def test_sharded_cache_validates_arguments():
-    with pytest.raises(ValueError):
-        ShardedBriefCache(-1)
-    with pytest.raises(ValueError):
-        ShardedBriefCache(8, num_shards=0)
-
-
-def test_sharded_cache_uses_multiple_shards():
-    cache = ShardedBriefCache(64, num_shards=8)
-    for i in range(64):
-        cache.put(f"content-{i}", i)
-    populated = sum(1 for shard in cache._shards if len(shard) > 0)
-    assert populated > 1  # hash-picked striping actually spreads the keys
-
-
-def test_sharded_cache_shard_index_is_deterministic():
-    """Shard placement is a keyed digest, not Python's salted hash: two
-    cache instances (or two processes) agree on where content lives."""
-    first = ShardedBriefCache(16, num_shards=4)
-    second = ShardedBriefCache(16, num_shards=4)
-    keys = [f"content-{i}" for i in range(64)]
-    placements = [first.shard_index(key) for key in keys]
-    assert placements == [second.shard_index(key) for key in keys]
-    assert len(set(placements)) > 1  # and it actually stripes
-
-
-def _keys_for_shard(cache, shard, count):
-    """Deterministically mine keys that land on the given shard."""
-    found = []
-    index = 0
-    while len(found) < count:
-        key = f"mined-{index}"
-        if cache.shard_index(key) == shard:
-            found.append(key)
-        index += 1
-    return found
-
-
-def test_per_shard_eviction_is_lru_and_confined():
-    """Overflowing one shard evicts that shard's LRU entry and nothing else."""
-    cache = ShardedBriefCache(8, num_shards=4)  # per-shard capacity 2
-    oldest, refreshed, overflow = _keys_for_shard(cache, 0, 3)
-    bystanders = [_keys_for_shard(cache, shard, 1)[0] for shard in (1, 2, 3)]
-    for key in bystanders:
-        cache.put(key, key)
-    cache.put(refreshed, refreshed)
-    cache.put(oldest, oldest)
-    assert cache.get(refreshed) == refreshed  # refresh → oldest is now LRU
-    cache.put(overflow, overflow)  # shard 0 at capacity: evicts `oldest` only
-    assert cache.get(oldest) is None
-    assert cache.get(refreshed) == refreshed
-    assert cache.get(overflow) == overflow
-    for key in bystanders:  # other shards never felt the pressure
-        assert cache.get(key) == key
-
-
 def test_counter_merge_is_associative_across_shards():
-    """The cache totals are exactly the shard sums — hammered concurrently,
-    with eviction, no increment is lost and none is double-counted."""
-    cache = ShardedBriefCache(8, num_shards=4)  # smaller than the key pool
+    """Hammered concurrently with four times as many keys as capacity, no
+    increment is lost or double-counted and the capacity bound holds."""
+    cache = BriefCache(8)
     keys = [f"content-{i}" for i in range(32)]
     with ThreadPoolExecutor(max_workers=THREADS) as pool:
         list(pool.map(lambda seed: _hammer(cache, seed, keys), range(THREADS)))
-    assert cache.hits == sum(shard.hits for shard in cache._shards)
-    assert cache.misses == sum(shard.misses for shard in cache._shards)
     assert cache.hits + cache.misses == THREADS * OPS_PER_THREAD
-    assert len(cache) == sum(len(shard) for shard in cache._shards)
-    for shard in cache._shards:
-        assert len(shard) <= 2  # ceil(8 / 4): per-shard capacity held
+    assert len(cache) == len(cache.keys()) <= 8
 
 
 def test_concurrent_mixed_get_put_across_shards_conserves():
-    """Readers and writers split across different shards concurrently: the
-    merged counters still account for every lookup exactly once."""
-    cache = ShardedBriefCache(16, num_shards=4)
-    per_shard_keys = {shard: _keys_for_shard(cache, shard, 6) for shard in range(4)}
+    """Four threads on disjoint key groups that together fit the capacity:
+    every lookup is counted once, and once warm every group keeps hitting."""
+    cache = BriefCache(24)
+    groups = {group: [f"group-{group}/{i}" for i in range(6)] for group in range(4)}
+    counts = {}
 
-    def hammer_shard(shard):
-        rng = random.Random(shard)
+    def hammer_group(group):
+        rng = random.Random(group)
+        misses = 0
         for _ in range(OPS_PER_THREAD):
-            key = rng.choice(per_shard_keys[shard])
+            key = rng.choice(groups[group])
             if cache.get(key) is None:
+                misses += 1
                 cache.put(key, key)
+        counts[group] = misses
 
     with ThreadPoolExecutor(max_workers=4) as pool:
-        list(pool.map(hammer_shard, range(4)))
+        list(pool.map(hammer_group, range(4)))
     assert cache.hits + cache.misses == 4 * OPS_PER_THREAD
-    # Every shard saw traffic and kept to its slice of the capacity.
-    for shard in cache._shards:
-        assert shard.hits + shard.misses == OPS_PER_THREAD
-        assert len(shard) <= 4
+    # 24 keys in a 24-entry cache: nothing is ever evicted, so each group
+    # misses exactly once per key.
+    assert counts == {group: 6 for group in range(4)}
+    assert len(cache) == 24
 
 
 def test_sharded_cache_collision_safety_is_inherited():
-    cache = ShardedBriefCache(8, num_shards=2, hash_fn=lambda content: "bucket")
+    cache = BriefCache(8, hash_fn=lambda content: "bucket")
     cache.put("page one", "brief one")
     assert cache.get("page two") is None  # same hash, different content → miss
+
+
+# ----------------------------------------------------------------------
+# The serving front door keeps all of its capacity
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("capacity", [16, 256])
+def test_front_cache_holds_its_full_capacity(serving_model, capacity):
+    """``brief_cache_size=N`` holds N pages: after briefing N distinct pages,
+    replaying them is N front-door cache hits (a cache split into
+    separately-evicting shards keeps only part of them)."""
+    pages = [
+        (f"page-{i}", f"<html><body><p>front cache page {i}</p><p>the price is {i}</p></body></html>")
+        for i in range(capacity)
+    ]
+    server = ConcurrentBriefingPipeline(
+        serving_model,
+        num_workers=2,
+        beam_size=2,
+        brief_cache_size=capacity,
+        max_queue=2 * capacity,
+        governor=False,
+    )
+    try:
+        first = server.brief_many(pages)
+        assert all(brief.complete for brief in first)
+        hits_before = server.stats.cache_hits
+        replay = server.brief_many(pages)
+        replay_hits = server.stats.cache_hits - hits_before
+    finally:
+        server.shutdown(timeout=30)
+    assert replay_hits == capacity
+    assert len(server.brief_cache) == capacity
+    for want, got in zip(first, replay):
+        assert got.topic == want.topic
+        assert got.attributes == want.attributes

@@ -57,20 +57,21 @@ def test_snapshot_restores_are_independent_and_identical(serving_model):
 
 
 def test_snapshot_carries_dtype_environment(serving_model):
-    previous = nn.get_default_dtype()
+    """The snapshot records the dtype environment; restoring it in-process
+    returns the pipeline dtype and leaves the caller's override untouched
+    (worker processes apply ``default_dtype`` themselves — float32
+    propagation into them is covered by ``test_transports_agree_under_float32``)."""
+    prior = nn.get_dtype_override()
     try:
         nn.set_default_dtype(np.float32)
         snapshot = ModelSnapshot(serving_model, dtype=np.float32)
     finally:
-        nn.set_default_dtype(previous)
+        nn.set_default_dtype(prior)
     assert np.dtype(snapshot.default_dtype) == np.float32
     assert np.dtype(snapshot.pipeline_dtype) == np.float32
-    try:
-        _, dtype = snapshot.restore()  # re-applies the captured default
-        assert dtype == np.float32
-        assert np.dtype(nn.get_default_dtype()) == np.float32
-    finally:
-        nn.set_default_dtype(previous)
+    _, dtype = snapshot.restore()
+    assert dtype == np.float32
+    assert nn.get_dtype_override() == prior
 
 
 def test_concurrent_serving_accepts_a_snapshot(serving_model, page_stream):
@@ -91,8 +92,7 @@ def test_concurrent_serving_accepts_a_snapshot(serving_model, page_stream):
         server = ConcurrentBriefingPipeline(
             snapshot, num_workers=2, beam_size=2, max_batch=8, max_queue=128
         )
-        # restore() sets the process-wide dtype to the snapshot's float32;
-        # the front door must put the caller's override back.
+        # Accepting a float32 snapshot must not touch the process dtype.
         assert nn.get_dtype_override() == prior
         try:
             briefs = server.brief_many(pages)

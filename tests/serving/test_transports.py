@@ -200,3 +200,35 @@ def test_backpressure_rejects_typed_and_resolves_everything(serving_model, trans
     for brief in briefs:
         if not brief.complete:
             assert brief.degradations[0].stage == "admission"
+
+
+def test_transient_chaos_faults_degrade_alike_on_both_transports(serving_model, transport):
+    """A chaos exception on every batch goes through the one shared dispatch
+    path: each request resolves ``serve → empty_brief``, every batch is
+    counted once (one request per batch, so both transports dispatch exactly
+    one batch per page), no worker dies and no future is left pending."""
+    chaos = ChaosWorker(exception_rate=1.0, seed=5)
+    server = ConcurrentBriefingPipeline(
+        serving_model, num_workers=2, transport=transport, beam_size=2,
+        max_batch=1, max_wait_ms=0.0, governor=False, chaos=chaos, start=False,
+    )
+    pages = [
+        f"<html><body><p>chaos page {i}</p><p>the price is {i}</p></body></html>"
+        for i in range(8)
+    ]
+    futures = [server.submit(page, doc_id=f"chaos-{i}") for i, page in enumerate(pages)]
+    server.pool.start()
+    server.supervisor.start()
+    try:
+        briefs = [future.result(timeout=30) for future in futures]
+    finally:
+        server.shutdown(timeout=30)
+    assert all(future.done() for future in futures)
+    for brief in briefs:
+        assert not brief.complete
+        assert [(d.stage, d.fallback) for d in brief.degradations] == [("serve", "empty_brief")]
+    merged = server.merged_stats()
+    assert merged.batches_dispatched == len(pages)
+    assert chaos.stats.faults_injected == len(pages)
+    assert merged.worker_restarts == 0
+    assert len(server.brief_cache) == 0  # degraded briefs are never cached
